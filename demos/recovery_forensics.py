@@ -47,7 +47,7 @@ print("Scheme 1 (products of principal supports) says:")
 print(format_poset(Q1))
 print("Scheme 2 (cover links via maximal ideals) says:")
 print(format_poset(Q2))
-assert Q1.up == Q2.up and Q1.labels == Q2.labels
+assert Q1 == Q2
 print("They agree, and the result is isomorphic to the original:",
       find_isomorphism(P, Q1))
 

@@ -37,6 +37,8 @@ RESCALE_FACTORS = (
     Fraction(-3),
 )
 
+_UNCHECKED = object()
+
 
 class IncidenceAlgebra:
     """Incidence algebra of a poset under one of two conventions.
@@ -190,20 +192,11 @@ class IncidenceAlgebra:
         """Smallest k with every k-fold generator product zero; None if unital."""
         if self.convention == "reflexive" and self.poset.n > 0:
             return None
-        gens = self.generators
-        index = self.index
+        right = self.multiplication_table().right
         live = set(range(self.dim))
         k = 1
         while live:
-            succ = set()
-            for i in live:
-                x, y = gens[i]
-                for j, (u, v) in enumerate(gens):
-                    if y == u:
-                        t = index.get(Pair(x, v))
-                        if t is not None:
-                            succ.add(t)
-            live = succ
+            live = {t for i in live for _, t in right.get(i, {}).values()}
             k += 1
         return k
 
@@ -280,19 +273,26 @@ class AlgebraElement:
 
 class MultiplicationTable:
     """Monomial structure constants: (i, j) -> (coeff, k) meaning
-    b_i b_j = coeff * b_k; missing entries are zero products."""
+    b_i b_j = coeff * b_k; missing entries are zero products.  The index
+    right[i][j] = left[j][i] = (coeff, k) holds the same present products,
+    keyed only by indices that occur, so its size never follows dim."""
 
-    __slots__ = ("dim", "entries", "_assoc_ok")
+    __slots__ = ("dim", "entries", "right", "left", "_witness")
 
     def __init__(self, dim, entries):
         self.dim = dim
         self.entries = dict(entries)
-        for (i, j), (c, k) in self.entries.items():
+        self.right = right = {}
+        self.left = left = {}
+        for (i, j), hit in self.entries.items():
+            c, k = hit
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError("table entry (%d,%d)->%d out of range" % (i, j, k))
             if not c:
                 raise ValueError("table entry (%d,%d) has zero coefficient" % (i, j))
-        self._assoc_ok = None
+            right.setdefault(i, {})[j] = hit
+            left.setdefault(j, {})[i] = hit
+        self._witness = _UNCHECKED
 
     def __eq__(self, other):
         return (
@@ -309,29 +309,36 @@ class MultiplicationTable:
 
         Any violating triple either has (i, j) present in the table, or has
         (i, j) absent while b_j b_l and the outer product are both present;
-        the two sweeps below cover both cases without cubing the dimension.
+        the two sweeps below try only the l, resp. i, with a product present,
+        since every other one gives zero on both sides.  Computed once.
         """
-        entries = self.entries
-        for (i, j), (c, k) in sorted(entries.items()):
-            for l in range(self.dim):
-                lhs = entries.get((k, l))
-                inner = entries.get((j, l))
-                rhs = entries.get((i, inner[1])) if inner else None
-                left = (c * lhs[0], lhs[1]) if lhs else None
-                right = (inner[0] * rhs[0], rhs[1]) if inner and rhs else None
-                if left != right:
+        if self._witness is _UNCHECKED:
+            self._witness = self._first_witness()
+        return self._witness
+
+    def _first_witness(self):
+        right, left, none = self.right, self.left, {}
+        for (i, j), (c, k) in sorted(self.entries.items()):
+            after_i = right.get(i, none)
+            after_j = right.get(j, none)
+            after_k = right.get(k, none)
+            for l in sorted(after_k.keys() | after_j.keys()):
+                lhs = after_k.get(l)
+                inner = after_j.get(l)
+                rhs = after_i.get(inner[1]) if inner else None
+                left_side = (c * lhs[0], lhs[1]) if lhs else None
+                right_side = (inner[0] * rhs[0], rhs[1]) if rhs else None
+                if left_side != right_side:
                     return (i, j, l)
-        for (j, l), (c, k) in sorted(entries.items()):
-            for i in range(self.dim):
-                if (i, j) not in entries and (i, k) in entries:
-                    return (i, j, l)
+        for (j, l), (c, k) in sorted(self.entries.items()):
+            bad = left.get(k, none).keys() - left.get(j, none).keys()
+            if bad:
+                return (min(bad), j, l)
         return None
 
     def ensure_associative(self):
-        if self._assoc_ok is None:
-            self._assoc_ok = self.associativity_witness() is None
-        if not self._assoc_ok:
-            witness = self.associativity_witness()
+        witness = self.associativity_witness()
+        if witness is not None:
             raise NotAssociative(
                 "table is not associative, witness indices %r" % (witness,),
                 witness=witness,
@@ -361,19 +368,21 @@ class MultiplicationTable:
     def from_json_text(cls, text):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise ParseError("not valid JSON: %s" % e) from None
         if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
             raise ParseError("table JSON needs 'dim' and 'entries'")
         dim = data["dim"]
-        if not isinstance(dim, int) or dim < 0:
+        if type(dim) is not int or dim < 0:  # JSON true/false are bools
             raise ParseError("'dim' must be a nonnegative integer")
+        if not isinstance(data["entries"], list):
+            raise ParseError("'entries' must be a list")
         entries = {}
         for row in data["entries"]:
             if not (isinstance(row, list) and len(row) == 4):
                 raise ParseError("each entry must be [i, j, coeff, k], got %r" % (row,))
             i, j, coeff, k = row
-            if not all(isinstance(v, int) for v in (i, j, k)):
+            if not all(type(v) is int for v in (i, j, k)):
                 raise ParseError("entry indices must be integers in %r" % (row,))
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ParseError("entry indices out of range in %r" % (row,))
@@ -389,14 +398,19 @@ class MultiplicationTable:
         return cls(dim, entries)
 
 
+def scramble_draws(dim, seed, rescale=True):
+    """The seeded basis permutation and scales that scramble applies."""
+    rng = LCG(seed)
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    if rescale:
+        scales = [rng.choice(RESCALE_FACTORS) for _ in range(dim)]
+    else:
+        scales = [Fraction(1)] * dim
+    return perm, scales
+
+
 def scramble(table, seed, rescale=True):
     """Seeded basis permutation, optionally rescaling each basis vector by a
     factor from RESCALE_FACTORS.  Same seed, same puzzle."""
-    rng = LCG(seed)
-    perm = list(range(table.dim))
-    rng.shuffle(perm)
-    if rescale:
-        scales = [rng.choice(RESCALE_FACTORS) for _ in range(table.dim)]
-    else:
-        scales = [Fraction(1)] * table.dim
-    return table.permuted_rescaled(perm, scales)
+    return table.permuted_rescaled(*scramble_draws(table.dim, seed, rescale))

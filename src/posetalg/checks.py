@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import IncidenceAlgebra
-from .errors import PosetAlgebraError
+from .errors import NoPosetBehindTable, PosetAlgebraError
 from .ideals import (
     enumerate_ideals,
     ideal_generated_by,
@@ -27,6 +27,7 @@ from .ideals import (
 from .oracles import brute_antichain_count
 from .poset import Pair, all_labeled_posets, covers, random_poset
 from .recovery import (
+    ensure_table_shape,
     quasi_idempotents,
     recover_by_ideal_products,
     recover_by_links,
@@ -414,7 +415,7 @@ def check_table(table):
         results.append(_fail("table_recovery", "%s: %s" % (type(e).__name__, e)))
         return results
     results.append(_ok("table_recovery"))
-    if via_products.up == via_links.up and via_products.labels == via_links.labels:
+    if via_products == via_links:
         results.append(_ok("table_schemes_agree"))
     else:
         results.append(
@@ -423,15 +424,10 @@ def check_table(table):
                 "%r vs %r" % (via_products, via_links),
             )
         )
-    pairs = via_products.n + via_products.strict_pair_count()
-    if pairs == table.dim:
-        results.append(_ok("table_shape"))
+    try:
+        ensure_table_shape(table, via_products)
+    except NoPosetBehindTable as e:
+        results.append(_fail("table_shape", str(e)))
     else:
-        results.append(
-            _fail(
-                "table_shape",
-                "dim %d but recovered poset has %d comparable pairs"
-                % (table.dim, pairs),
-            )
-        )
+        results.append(_ok("table_shape"))
     return results

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a requested check or verification fails,
-2 on bad input (unparseable files, unknown labels, unusable options).
+2 on bad input (unparseable files, unknown labels, unusable options, tables
+with no poset behind them).
 All output is deterministic for fixed inputs and flags.
 """
 
@@ -28,7 +29,7 @@ from .poset import (
     pair_poset_dot,
     parse_poset,
 )
-from .recovery import quasi_idempotents, recover_by_ideal_products, recover_by_links
+from .recovery import ensure_table_shape, recover_by_ideal_products, recover_by_links
 from .rewriting import (
     MAX_PROBE_DEGREE,
     build_rewrite_system,
@@ -167,11 +168,10 @@ def cmd_recover(args):
     table = _load_table(args.input)
     via_products = recover_by_ideal_products(table)
     via_links = recover_by_links(table)
-    agree = (
-        via_products.up == via_links.up and via_products.labels == via_links.labels
-    )
+    ensure_table_shape(table, via_products)
+    agree = via_products == via_links
     print("dim=%d" % table.dim)
-    print("quasi_idempotents=%d" % len(quasi_idempotents(table)))
+    print("quasi_idempotents=%d" % via_products.n)
     print("schemes_agree=%s" % ("yes" if agree else "no"))
     if args.format == "dot":
         rendered = hasse_dot(via_products)

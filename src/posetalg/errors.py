@@ -66,6 +66,10 @@ class ClosureViolation(PosetAlgebraError):
     pass
 
 
+class NoPosetBehindTable(PosetAlgebraError):
+    pass
+
+
 class RecoveredRelationNotTransitive(PosetAlgebraError):
     def __init__(self, message, witness=None):
         super().__init__(message)

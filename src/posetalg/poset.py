@@ -386,15 +386,6 @@ def count_up_sets(G, cap=20):
     return rec((1 << G.size) - 1)
 
 
-def poset_up_sets(P):
-    """Upward-closed element subsets of a plain poset, as bitmasks."""
-    return _up_closed_masks(P.n, P.up, P.down)
-
-
-def poset_down_sets(P):
-    return _up_closed_masks(P.n, P.down, P.up)
-
-
 # ---------------------------------------------------------------------------
 # isomorphism
 

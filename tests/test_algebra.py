@@ -1,4 +1,5 @@
 from fractions import Fraction
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from posetalg import (
     chain,
     diamond,
     parse_poset,
+    quasi_idempotents,
     scramble,
 )
 from posetalg.oracles import element_product_via_matrices
@@ -252,6 +254,42 @@ def test_nonassociative_table_raises_with_witness():
     with pytest.raises(NotAssociative) as e:
         T.ensure_associative()
     assert e.value.witness == w
+
+
+def test_witness_is_computed_once_and_kept():
+    T = MultiplicationTable(2, {(0, 1): (Fraction(1), 0)})
+    w = T.associativity_witness()
+    T.entries.clear()  # a second scan would now find nothing
+    assert T.associativity_witness() == w
+    with pytest.raises(NotAssociative):
+        T.ensure_associative()
+
+
+def test_product_index_never_allocates_per_dim():
+    tracemalloc.start()
+    try:
+        T = MultiplicationTable.from_json_text('{"dim": 1000000, "entries": []}')
+        T.ensure_associative()
+        assert quasi_idempotents(T) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_product_index_lists_present_products_both_ways():
+    T = A_of(chain(2)).multiplication_table()
+    # generators aa bb ab: aa*aa, aa*ab, bb*bb, ab*bb
+    assert T.right == {
+        0: {0: (1, 0), 2: (1, 2)},
+        1: {1: (1, 1)},
+        2: {1: (1, 2)},
+    }
+    assert T.left == {
+        0: {0: (1, 0)},
+        1: {1: (1, 1), 2: (1, 2)},
+        2: {0: (1, 2)},
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -168,3 +168,29 @@ def test_corpus_check_small(capsys):
     code, out, _ = run(capsys, "check", "--corpus", "exhaustive4")
     assert code == 0
     assert "summary: 243 posets" in out and "0 failed" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"dim":2,"entries":5}', '{"dim": true, "entries": [[false,false,"1",false]]}'],
+)
+def test_malformed_table_exits_2_without_traceback(capsys, tmp_path, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    for argv in (("recover", "--input", str(p)), ("check", "--table", str(p))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_recover_refuses_table_with_no_poset(capsys, tmp_path):
+    # b0*b0 = b1: no quasi-idempotent, so the recovered poset is empty
+    p = tmp_path / "dim2.json"
+    p.write_text('{"dim":2,"entries":[[0,0,"1",1]]}')
+    out_path = tmp_path / "recovered.pos"
+    code, out, err = run(capsys, "recover", "--input", str(p), "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert "dim 2 but recovered poset has 0 comparable pairs" in err
+    assert not out_path.exists()

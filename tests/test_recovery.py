@@ -15,16 +15,20 @@ from posetalg import (
     chain,
     covers,
     diamond,
+    dual,
     find_isomorphism,
     maximal_abstract_ideals,
     principal_support,
     quasi_idempotents,
+    random_poset,
     recover_by_ideal_products,
     recover_by_links,
     recovered_links,
     scramble,
     verify_roundtrip,
 )
+from posetalg import recovery
+from posetalg.checks import run_poset_checks
 
 from _strategies import posets
 
@@ -45,13 +49,17 @@ def test_rescaled_squares_still_count():
     assert quasi_idempotents(S) == [0, 1]
 
 
+def bits(*indices):
+    return sum(1 << i for i in indices)
+
+
 def test_principal_support_chain3():
     T = table_of(chain(3))
     # generator order: aa bb cc ab ac bc
-    assert principal_support(T, 0).indices() == [0, 3, 4]
-    assert principal_support(T, 1).indices() == [1, 3, 4, 5]
-    assert principal_support(T, 2).indices() == [2, 4, 5]
-    assert principal_support(T, 3).indices() == [3, 4]
+    assert principal_support(T, 0) == bits(0, 3, 4)
+    assert principal_support(T, 1) == bits(1, 3, 4, 5)
+    assert principal_support(T, 2) == bits(2, 4, 5)
+    assert principal_support(T, 3) == bits(3, 4)
 
 
 def test_maximal_abstract_ideals_complement_one_diagonal():
@@ -59,7 +67,7 @@ def test_maximal_abstract_ideals_complement_one_diagonal():
     ideals = maximal_abstract_ideals(T)
     assert len(ideals) == 4
     for e, M in zip(quasi_idempotents(T), ideals):
-        assert set(M.indices()) == set(range(T.dim)) - {e}
+        assert M == bits(*range(T.dim)) & ~bits(e)
 
 
 SCRAMBLED_CHAIN2 = (
@@ -107,6 +115,29 @@ def test_roundtrip_without_rescaling():
 @given(posets(max_n=4), st.integers(0, 2**30))
 def test_roundtrip_property(P, seed):
     assert verify_roundtrip(P, seeds=(seed,)).all_passed
+
+
+def test_every_check_passes_above_the_isomorphism_cap():
+    # find_isomorphism stops at 12 elements; the roundtrip no longer uses it
+    for P in (chain(13), random_poset(16, 0.2, 4)):
+        failed = [r for r in run_poset_checks(P) if not r.passed]
+        assert failed == []
+
+
+def test_roundtrip_compares_exactly_not_up_to_isomorphism(monkeypatch):
+    # diamond() is self-dual, so an isomorphism test would accept the dual
+    via_products = recovery.recover_by_ideal_products
+    via_links = recovery.recover_by_links
+    monkeypatch.setattr(
+        recovery, "recover_by_ideal_products", lambda t: dual(via_products(t))
+    )
+    monkeypatch.setattr(recovery, "recover_by_links", lambda t: dual(via_links(t)))
+    report = verify_roundtrip(diamond(), seeds=(1, 2, 3))
+    assert not report.all_passed
+    for r in report.results:
+        assert not r["ideal_products_exact"] and not r["links_exact"]
+        assert r["schemes_agree"]
+    assert "MISMATCH" in report.format_text()
 
 
 # ---------------------------------------------------------------------------
