@@ -13,6 +13,7 @@ recovery module solves.
 """
 
 import json
+import re
 from fractions import Fraction
 
 from . import poset as _poset
@@ -386,8 +387,14 @@ class MultiplicationTable:
                 raise ParseError("entry indices must be integers in %r" % (row,))
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ParseError("entry indices out of range in %r" % (row,))
+            text = str(coeff)
+            # Fraction would expand an exponent past Python's default int
+            # digit limit (4300) into an integer that large before any check
+            exponent = re.search(r"e([-+]?[\d_]+)\s*\Z", text, re.IGNORECASE)
             try:
-                c = Fraction(str(coeff))
+                if exponent and abs(int(exponent.group(1))) > 4300:
+                    raise ParseError("coefficient exponent past 4300 in %r" % (row,))
+                c = Fraction(text)
             except (ValueError, ZeroDivisionError):
                 raise ParseError("bad coefficient %r" % (coeff,)) from None
             if not c:

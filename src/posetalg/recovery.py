@@ -17,12 +17,14 @@ Two independent routes:
       relation is verified, never imposed.
 
   recover_by_links
-      For each quasi-idempotent, drop it from the full support to get a
-      maximal ideal.  A link x -> y is detected when the support product
-      M_x * M_y is a proper subset of M_x n M_y: the one missing index is
-      the image of the pair (x, y), and it can only be missing when nothing
-      sits strictly between x and y.  Links are exactly the covers, and
-      their transitive closure is the strict order.
+      Dropping a quasi-idempotent e_x from the full support gives a maximal
+      ideal M_x, refused unless no product but e_x * e_x lands on e_x.  A
+      link x -> y holds when M_x * M_y misses an index k of M_x n M_y, the
+      image of (x, y), which happens only when nothing sits strictly between
+      x and y.  Links are read in one pass: k is missed exactly when every
+      product landing on k starts at e_x or ends at e_y.  Links are exactly
+      the covers; their transitive closure is the strict order.  The
+      literal definition is brute_recover_by_links in oracles.py.
 
 Both raise diagnostics (NotAssociative, NotMonomial, ClosureViolation,
 RecoveredRelationNotTransitive, CycleDetected) rather than repairing
@@ -60,37 +62,6 @@ def principal_support(table, i):
     return support
 
 
-def support_product(table, left, right):
-    """Index support of products of the two support sets."""
-    mask = 0
-    for (a, b), (_, k) in table.entries.items():
-        if left >> a & 1 and right >> b & 1:
-            mask |= 1 << k
-    return mask
-
-
-def maximal_abstract_ideals(table):
-    """Support masks, one per quasi-idempotent e: everything except e itself.
-
-    Refuses tables where such a complement is not closed, that is where a
-    product other than e*e lands on e; that cannot happen for a table that
-    came from an incidence algebra.
-    """
-    qs = quasi_idempotents(table)
-    landing = {}
-    for (a, b), (_, k) in table.entries.items():
-        if a != k or b != k:
-            landing.setdefault(k, (a, b))
-    for e in qs:
-        if e in landing:
-            raise ClosureViolation(
-                "dropping index %d is not an ideal: product (%d,%d) lands on it"
-                % ((e,) + landing[e])
-            )
-    full = (1 << table.dim) - 1
-    return [full & ~(1 << e) for e in qs]
-
-
 def _labels_for(indices):
     return ["e%d" % i for i in indices]
 
@@ -126,19 +97,39 @@ def recover_by_ideal_products(table):
 
 def _link_rows(table):
     qs = quasi_idempotents(table)
+    landing = {}
+    for (a, b), (_, k) in table.entries.items():
+        landing.setdefault(k, []).append((a, b))
+    for e in qs:
+        stray = [p for p in landing[e] if p != (e, e)]
+        if stray:
+            raise ClosureViolation(
+                "dropping index %d is not an ideal: product (%d,%d) lands on it"
+                % ((e,) + stray[0])
+            )
     n = len(qs)
-    maximals = maximal_abstract_ideals(table)
-    links = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            inter = maximals[x] & maximals[y]
-            prod = support_product(table, maximals[x], maximals[y])
-            assert prod & ~inter == 0
-            if prod != inter:
-                links[x] |= 1 << y
-    return qs, links
+    pos = {q: x for x, q in enumerate(qs)}
+    everyone = (1 << n) - 1
+    # an index no product reaches lies outside every M_x * M_y
+    links = [everyone if len(landing) < table.dim else 0] * n
+    into_all = 0
+    for k, products in landing.items():
+        if k in pos:
+            continue
+        a0, b0 = products[0]
+        if a0 in pos:
+            ends = {b for a, b in products if a != a0}
+            if not ends:
+                links[pos[a0]] = everyone
+            elif len(ends) == 1 and ends <= pos.keys():
+                links[pos[a0]] |= 1 << pos[ends.pop()]
+        if b0 in pos:
+            starts = {a for a, b in products if b != b0}
+            if not starts:
+                into_all |= 1 << pos[b0]
+            elif len(starts) == 1 and starts <= pos.keys():
+                links[pos[starts.pop()]] |= 1 << pos[b0]
+    return qs, [(row | into_all) & ~(1 << x) for x, row in enumerate(links)]
 
 
 def recover_by_links(table):

@@ -13,11 +13,14 @@ from posetalg import (
     NotAssociative,
     NotMonomial,
     ParseError,
+    Poset,
     antichain,
     chain,
     diamond,
     parse_poset,
     quasi_idempotents,
+    recover_by_ideal_products,
+    recover_by_links,
     scramble,
 )
 from posetalg.oracles import element_product_via_matrices
@@ -271,6 +274,8 @@ def test_product_index_never_allocates_per_dim():
         T = MultiplicationTable.from_json_text('{"dim": 1000000, "entries": []}')
         T.ensure_associative()
         assert quasi_idempotents(T) == []
+        assert recover_by_ideal_products(T) == Poset([], [])
+        assert recover_by_links(T) == Poset([], [])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

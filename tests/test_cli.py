@@ -172,7 +172,11 @@ def test_corpus_check_small(capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"dim":2,"entries":5}', '{"dim": true, "entries": [[false,false,"1",false]]}'],
+    [
+        '{"dim":2,"entries":5}',
+        '{"dim": true, "entries": [[false,false,"1",false]]}',
+        '{"dim":1,"entries":[[0,0,"1e4000000",0]]}',
+    ],
 )
 def test_malformed_table_exits_2_without_traceback(capsys, tmp_path, text):
     p = tmp_path / "bad.json"

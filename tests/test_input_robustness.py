@@ -24,11 +24,22 @@ from posetalg import MultiplicationTable, ParseError, PosetAlgebraError, parse_p
             '{"dim": ' + "1" * 5000 + ', "entries": []}', id="5000-digit-dim"
         ),
         pytest.param("[" * 100000, id="deep-nesting"),
+        pytest.param(
+            '{"dim": 1, "entries": [[0, 0, "1e4000000", 0]]}', id="1e4000000"
+        ),
+        pytest.param(
+            '{"dim": 1, "entries": [[0, 0, "1e-4000000", 0]]}', id="1e-4000000"
+        ),
     ],
 )
 def test_table_json_shapes_are_refused(text):
     with pytest.raises(ParseError):
         MultiplicationTable.from_json_text(text)
+
+
+def test_small_exponent_coefficient_still_parses():
+    T = MultiplicationTable.from_json_text('{"dim": 1, "entries": [[0, 0, "1e3", 0]]}')
+    assert T.entries == {(0, 0): (1000, 0)}
 
 
 json_values = st.recursive(

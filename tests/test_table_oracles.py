@@ -10,11 +10,13 @@ from posetalg import (
     IncidenceAlgebra,
     MultiplicationTable,
     PosetAlgebraError,
-    maximal_abstract_ideals,
+    boolean_lattice,
+    chain,
     principal_support,
     quasi_idempotents,
     recover_by_ideal_products,
     recover_by_links,
+    recovered_links,
     scramble,
 )
 from posetalg.oracles import (
@@ -24,6 +26,7 @@ from posetalg.oracles import (
     brute_quasi_idempotents,
     brute_recover_by_ideal_products,
     brute_recover_by_links,
+    brute_support_product,
 )
 
 from _strategies import posets
@@ -37,13 +40,24 @@ def outcome(f, *args):
         return ("raised", type(e), getattr(e, "witness", None))
 
 
+def brute_links(T):
+    """Link pairs by definition: M_x * M_y misses part of M_x n M_y."""
+    M = brute_maximal_supports(T)
+    return [
+        (x, y)
+        for x in range(len(M))
+        for y in range(len(M))
+        if x != y and brute_support_product(T, M[x], M[y]) != M[x] & M[y]
+    ]
+
+
 def assert_matches_oracles(T):
     assert T.associativity_witness() == brute_associativity_witness(T)
     pairs = [
         (quasi_idempotents, brute_quasi_idempotents),
-        (maximal_abstract_ideals, brute_maximal_supports),
         (recover_by_ideal_products, brute_recover_by_ideal_products),
         (recover_by_links, brute_recover_by_links),
+        (recovered_links, brute_links),
     ]
     for fast, brute in pairs:
         assert outcome(fast, T) == outcome(brute, T), fast.__name__
@@ -94,6 +108,25 @@ def test_scrambled_corpus_tables_match_oracles(corpus_tables):
         assert_matches_oracles(scramble(T, seed))
 
 
+def three_squares_and(*products):
+    """dim 4: b_i b_i = b_i for i < 3, and each given product lands on b_3."""
+    one = Fraction(1)
+    entries = {(i, i): (one, i) for i in range(3)}
+    entries.update({product: (one, 3) for product in products})
+    return MultiplicationTable(4, entries)
+
+
 def test_diagnostic_tables_match_oracles():
     assert_matches_oracles(c2_group_table())
     assert_matches_oracles(quiver_path_table())
+    # index 2 is reached by no product and sits outside every M_x * M_y
+    one = Fraction(1)
+    unreached = MultiplicationTable(3, {(0, 0): (one, 0), (1, 1): (one, 1)})
+    assert_matches_oracles(unreached)
+    # every product landing on index 3 starts at b_0, and the mirror case
+    assert_matches_oracles(three_squares_and((0, 3)))
+    assert_matches_oracles(three_squares_and((3, 2)))
+    # larger than any poset in the corpus
+    for P in (chain(8), boolean_lattice(3)):
+        T = IncidenceAlgebra(P, "reflexive").multiplication_table()
+        assert_matches_oracles(scramble(T, 7))
