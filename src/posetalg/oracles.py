@@ -9,7 +9,7 @@ of present products, and rescan that dict wherever a definition quantifies
 over products.
 """
 
-from itertools import permutations
+from itertools import permutations, product as _cartesian
 
 from .errors import (
     ClosureViolation,
@@ -18,9 +18,11 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .poset import Pair, Poset, iterbits, natural_labeling, transitive_closure
+from .rewriting import reduce_word
 
 _SUBSET_LIMIT = 15
 _PERM_LIMIT = 6
+_WORD_LIMIT = 10 ** 5
 
 
 def brute_up_closed_masks(n, above):
@@ -72,6 +74,27 @@ def brute_isomorphism(P, Q):
         ):
             return list(perm)
     return None
+
+
+def brute_dimension_up_to(R, max_degree):
+    """Cumulative count of the distinct normal forms of all words of degree
+    <= d, for each d up to max_degree, by reducing every word."""
+    words = sum(R.poset.n ** d for d in range(1, max_degree + 1))
+    if words > _WORD_LIMIT or max_degree > R.max_word_len:
+        raise SizeLimitExceeded(
+            "word enumeration capped at %d words of length <= %d"
+            % (_WORD_LIMIT, R.max_word_len)
+        )
+    letters = range(R.poset.n)
+    seen = set()
+    counts = []
+    for d in range(1, max_degree + 1):
+        for word in _cartesian(letters, repeat=d):
+            nf = reduce_word(R, word)
+            if nf is not None:
+                seen.add(nf)
+        counts.append(len(seen))
+    return counts
 
 
 def matrix_product(a, b):

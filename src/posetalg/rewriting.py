@@ -18,6 +18,17 @@ confluence_probe measures, by exploring every redex choice and reporting
 words with more than one normal form.  Dimension counts are evidence about
 specific posets and degrees, nothing more.
 
+The dimensions are counted, not enumerated.  Reduction stops only when no 2-
+or 3-letter window is a left side, so every normal form is irreducible, and
+an irreducible word is its own normal form; as no rule lengthens a word, the
+normal forms of the words of degree <= d are exactly the irreducible words of
+length 1..d.  dimension_up_to counts those over states that are the last two
+letters of a word (Ufnarovski's graph: V. Ufnarovski, "A growth criterion for
+graphs and algebras defined by words", 1982), extending a state (a, b) by c
+when neither b c nor a b c is a left side, in O(d n^3).  The literal
+definition, reducing all n^d words of each degree, is
+oracles.brute_dimension_up_to.
+
 Stabilization of the graded dimensions is promised under neither convention.
 Under 'distinct_only' a poset with no 3-chain has no shortening rule: on
 chain(2) the normal forms are the words a^i b^j, and the dimensions grow as
@@ -26,10 +37,12 @@ d(d+3)/2.  Even 'allow_repeats' grows on antichain(2): 2, 6, 10, 14, 18, 22.
 
 from itertools import product as _cartesian
 
-from .errors import WordLengthExceeded
+from .errors import SizeLimitExceeded, WordLengthExceeded
 
 MAX_WORD_LEN = 12
-MAX_PROBE_DEGREE = 8
+MAX_PROBE_DEGREE = 32
+# words confluence_probe may enumerate, at a few microseconds each
+MAX_PROBE_WORDS = 10 ** 5
 
 
 class RewriteSystem:
@@ -133,22 +146,43 @@ def dimension_up_to(R, max_degree):
     d up to max_degree.
 
     Rules send a word to a word or to zero, so the span of reduced words is
-    spanned by distinct normal forms, and the rank is their count.
+    spanned by distinct normal forms, and the rank is their count.  Those
+    normal forms are exactly the irreducible words of length 1..d (see the
+    module docstring), counted over their last two letters.
     """
     if max_degree > MAX_PROBE_DEGREE:
         raise ValueError(
             "dimension probe limited to degree %d, asked for %d"
             % (MAX_PROBE_DEGREE, max_degree)
         )
-    letters = range(R.poset.n)
-    seen = set()
-    counts = []
-    for d in range(1, max_degree + 1):
-        for word in _cartesian(letters, repeat=d):
-            nf = reduce_word(R, word)
-            if nf is not None:
-                seen.add(nf)
-        counts.append(len(seen))
+    if max_degree < 1:
+        return []
+    n = R.poset.n
+    rules = R.rules
+    # each irreducible pair (a, b), with the pairs (b, c) it may move to
+    successors = {}
+    for a in range(n):
+        for b in range(n):
+            if (a, b) not in rules:
+                successors[(a, b)] = [
+                    (b, c)
+                    for c in range(n)
+                    if (b, c) not in rules and (a, b, c) not in rules
+                ]
+    total = n
+    counts = [total]
+    # irreducible words of the current length, by their last two letters
+    ending = dict.fromkeys(successors, 1)
+    for d in range(2, max_degree + 1):
+        if d > 2:
+            longer = dict.fromkeys(successors, 0)
+            for state, count in ending.items():
+                if count:
+                    for nxt in successors[state]:
+                        longer[nxt] += count
+            ending = longer
+        total += sum(ending.values())
+        counts.append(total)
     return counts
 
 
@@ -181,10 +215,21 @@ def _all_normal_forms(R, word, memo):
 def confluence_probe(R, max_len=5):
     """Words of length <= max_len whose normal form depends on the rewrite
     order, each with its full set of normal forms.  Empty list: no
-    strategy dependence found at this scale."""
+    strategy dependence found at this scale.  Refused with SizeLimitExceeded,
+    before any word is reduced, when there are more than MAX_PROBE_WORDS
+    such words."""
+    n = R.poset.n
+    words = 0
+    for d in range(1, max_len + 1):
+        words += n ** d
+        if words > MAX_PROBE_WORDS:
+            raise SizeLimitExceeded(
+                "confluence probe limited to %d words; %d letters up to length "
+                "%d is more" % (MAX_PROBE_WORDS, n, max_len)
+            )
     witnesses = []
     memo = {}
-    letters = range(R.poset.n)
+    letters = range(n)
     for d in range(1, max_len + 1):
         for word in _cartesian(letters, repeat=d):
             forms = _all_normal_forms(R, word, memo)

@@ -119,6 +119,17 @@ def test_dims_output(capsys, chain3_file):
     assert out == "degree dimension\n1 3\n2 9\n3 9\n4 9\n"
 
 
+def test_dims_past_the_enumeration_range(capsys, tmp_path):
+    p = tmp_path / "chain2.pos"
+    p.write_text("elements: a b\nrelations: a<b\n")
+    code, out, _ = run(
+        capsys, "dims", "--input", str(p), "--triples", "distinct_only",
+        "--max-degree", "32",
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "32 560"
+
+
 def test_reduce_output(capsys, chain3_file):
     code, out, _ = run(capsys, "reduce", "--input", chain3_file, "--word", "a b c")
     assert (code, out) == (0, "a c\n")

@@ -5,6 +5,7 @@ import pytest
 from posetalg import (
     MAX_PROBE_DEGREE,
     MAX_WORD_LEN,
+    SizeLimitExceeded,
     WordLengthExceeded,
     antichain,
     build_rewrite_system,
@@ -14,6 +15,7 @@ from posetalg import (
     dimension_up_to,
     reduce_word,
 )
+from posetalg.oracles import brute_dimension_up_to
 
 
 def test_rule_set_chain2_allow_repeats():
@@ -86,6 +88,41 @@ def test_dimension_sequences_small_posets():
     ) == [3, 9, 9, 9, 9]
 
 
+def test_dimension_closed_forms_past_enumeration_range():
+    # the normal forms of chain(2) under distinct_only are a^i b^j, so there
+    # are k + 1 of length k and dims[d] = sum(k + 1 for k <= d) = d(d+3)/2
+    strict = build_rewrite_system(chain(2), "distinct_only")
+    dims = dimension_up_to(strict, 32)
+    assert dims == [d * (d + 3) // 2 for d in range(1, 33)]
+    assert dims[-1] == 560
+    # antichain(2) under allow_repeats has no 2-letter rule, and each of the
+    # four pairs extends only to the one pair that avoids x y x and x x x, so
+    # every length from 2 on adds 4 words: 2 + 4(d-1)
+    allow = build_rewrite_system(antichain(2), "allow_repeats")
+    assert dimension_up_to(allow, 32) == [4 * d - 2 for d in range(1, 33)]
+    # on chain(n) under allow_repeats the irreducible pairs are the n(n+1)/2
+    # pairs a <= b, and every a <= b <= c is a left side, so nothing of length
+    # 3 or more is irreducible: n, then n + n(n+1)/2 = 26 + 351 for chain(26)
+    chain26 = build_rewrite_system(chain(26), "allow_repeats")
+    assert dimension_up_to(chain26, 32) == [26] + [377] * 31
+
+
+def test_dimensions_match_the_enumeration_oracle(exhaustive4, random7):
+    cases = [(P, 5) for P in exhaustive4]
+    cases += [(P, 6) for P in random7 if P.n in (4, 5)]
+    for P, degree in cases:
+        for conv in ("allow_repeats", "distinct_only"):
+            R = build_rewrite_system(P, conv)
+            assert dimension_up_to(R, degree) == brute_dimension_up_to(R, degree)
+
+
+def test_enumeration_oracle_is_capped():
+    R = build_rewrite_system(chain(5), "allow_repeats")
+    assert brute_dimension_up_to(R, 2) == dimension_up_to(R, 2)
+    with pytest.raises(SizeLimitExceeded):
+        brute_dimension_up_to(R, 8)
+
+
 def test_degree_cap():
     R = build_rewrite_system(chain(2), "allow_repeats")
     with pytest.raises(ValueError):
@@ -121,6 +158,13 @@ def test_confluence_probe_is_quiet_on_small_posets():
         for conv in ("allow_repeats", "distinct_only"):
             R = build_rewrite_system(P, conv)
             assert confluence_probe(R, 5) == []
+
+
+def test_confluence_probe_refuses_past_its_word_budget():
+    # 5 + 25 + ... + 5^8 = 488,280 words, above the 10^5 budget
+    R = build_rewrite_system(chain(5), "allow_repeats")
+    with pytest.raises(SizeLimitExceeded):
+        confluence_probe(R, 8)
 
 
 def test_monotone_dimensions():
