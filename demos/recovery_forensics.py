@@ -12,13 +12,13 @@ from posetalg import (
     MultiplicationTable,
     RecoveredRelationNotTransitive,
     boolean_lattice,
-    find_isomorphism,
     format_poset,
     quasi_idempotents,
     recover_by_ideal_products,
     recover_by_links,
     scramble,
 )
+from posetalg.oracles import brute_isomorphism
 
 P = boolean_lattice(2)
 A = IncidenceAlgebra(P, "reflexive")
@@ -49,7 +49,7 @@ print("Scheme 2 (cover links via maximal ideals) says:")
 print(format_poset(Q2))
 assert Q1 == Q2
 print("They agree, and the result is isomorphic to the original:",
-      find_isomorphism(P, Q1))
+      brute_isomorphism(P, Q1))
 
 # --- now two associative, monomial tables with no poset behind them ------
 

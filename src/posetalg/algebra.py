@@ -8,8 +8,8 @@ are upper triangular.
 
 MultiplicationTable is the shareable face of an algebra: dimension plus
 monomial structure constants, serialized as JSON.  Scrambling a table
-(seeded basis permutation, optional rescale) produces the puzzles the
-recovery module solves.
+(seeded basis permutation and rescale) produces the puzzles the recovery
+module solves.
 """
 
 import json
@@ -405,19 +405,16 @@ class MultiplicationTable:
         return cls(dim, entries)
 
 
-def scramble_draws(dim, seed, rescale=True):
+def scramble_draws(dim, seed):
     """The seeded basis permutation and scales that scramble applies."""
     rng = LCG(seed)
     perm = list(range(dim))
     rng.shuffle(perm)
-    if rescale:
-        scales = [rng.choice(RESCALE_FACTORS) for _ in range(dim)]
-    else:
-        scales = [Fraction(1)] * dim
+    scales = [rng.choice(RESCALE_FACTORS) for _ in range(dim)]
     return perm, scales
 
 
-def scramble(table, seed, rescale=True):
-    """Seeded basis permutation, optionally rescaling each basis vector by a
-    factor from RESCALE_FACTORS.  Same seed, same puzzle."""
-    return table.permuted_rescaled(*scramble_draws(table.dim, seed, rescale))
+def scramble(table, seed):
+    """Seeded basis permutation, then each basis vector rescaled by a factor
+    from RESCALE_FACTORS.  Same seed, same puzzle."""
+    return table.permuted_rescaled(*scramble_draws(table.dim, seed))

@@ -11,7 +11,7 @@ import sys
 
 from .algebra import IncidenceAlgebra, MultiplicationTable
 from .checks import CORPORA, check_table, get_corpus, run_poset_checks
-from .errors import PosetAlgebraError
+from .errors import ParseError, PosetAlgebraError
 from .ideals import (
     enumerate_ideals,
     format_ideal,
@@ -39,10 +39,14 @@ from .rewriting import (
 
 
 def _read_text(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        where = "stdin" if path == "-" else path
+        raise ParseError("%s is not UTF-8 text: %s" % (where, e)) from None
 
 
 def _emit(text, out_path):

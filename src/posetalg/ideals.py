@@ -53,10 +53,6 @@ class Ideal:
     def is_zero(self):
         return self.up_mask == 0
 
-    @property
-    def is_full(self):
-        return self.up_mask == (1 << self.algebra.dim) - 1
-
     def pair_indices(self):
         return list(iterbits(self.up_mask))
 
@@ -70,9 +66,6 @@ class Ideal:
     def contains(self, other):
         _require_same(other, self)
         return other.up_mask & ~self.up_mask == 0
-
-    def spanning_elements(self):
-        return [self.algebra.generator(i) for i in self.pair_indices()]
 
     def __eq__(self, other):
         return (

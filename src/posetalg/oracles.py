@@ -18,7 +18,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .poset import Pair, Poset, iterbits, natural_labeling, transitive_closure
-from .rewriting import reduce_word
+from .rewriting import MAX_WORD_LEN, reduce_word
 
 _SUBSET_LIMIT = 15
 _PERM_LIMIT = 6
@@ -80,10 +80,10 @@ def brute_dimension_up_to(R, max_degree):
     """Cumulative count of the distinct normal forms of all words of degree
     <= d, for each d up to max_degree, by reducing every word."""
     words = sum(R.poset.n ** d for d in range(1, max_degree + 1))
-    if words > _WORD_LIMIT or max_degree > R.max_word_len:
+    if words > _WORD_LIMIT or max_degree > MAX_WORD_LEN:
         raise SizeLimitExceeded(
             "word enumeration capped at %d words of length <= %d"
-            % (_WORD_LIMIT, R.max_word_len)
+            % (_WORD_LIMIT, MAX_WORD_LEN)
         )
     letters = range(R.poset.n)
     seen = set()

@@ -190,24 +190,6 @@ def natural_labeling(P):
     return order
 
 
-def down_set(P, elems):
-    """Smallest downward-closed set containing elems."""
-    out = set()
-    for s in elems:
-        out.add(s)
-        out.update(iterbits(P.down[s]))
-    return out
-
-
-def up_set(P, elems):
-    """Smallest upward-closed set containing elems."""
-    out = set()
-    for s in elems:
-        out.add(s)
-        out.update(iterbits(P.up[s]))
-    return out
-
-
 def levels(P):
     """Length of the longest chain strictly below each element (0 for minimal)."""
     lev = [0] * P.n
@@ -221,10 +203,6 @@ def longest_chain_length(P):
     if P.n == 0:
         return 0
     return max(levels(P)) + 1
-
-
-def dual(P):
-    return Poset(P.labels, P.down)
 
 
 def all_pairs(P):
@@ -304,32 +282,6 @@ def pair_poset(P):
     return PairPoset(P)
 
 
-class IntervalOrder(NamedTuple):
-    """Relation on comparable pairs: [x,y] relates to [u,v] when y <= u.
-    Neither reflexive nor irreflexive; a pair relates to itself exactly
-    when it is diagonal."""
-
-    pairs: tuple
-    rel: tuple
-
-    def holds(self, i, j):
-        return bool(self.rel[i] >> j & 1)
-
-    def reflexive_indices(self):
-        return [i for i in range(len(self.pairs)) if self.rel[i] >> i & 1]
-
-
-def interval_order(P):
-    pairs = all_pairs(P)
-    m = len(pairs)
-    rel = [0] * m
-    for i, (_, y) in enumerate(pairs):
-        for j, (u, _) in enumerate(pairs):
-            if P.leq(y, u):
-                rel[i] |= 1 << j
-    return IntervalOrder(tuple(pairs), tuple(rel))
-
-
 # ---------------------------------------------------------------------------
 # upward-closed subsets
 
@@ -359,118 +311,6 @@ def enumerate_up_sets(G, cap=20):
             "pair poset has %d elements, cap is %d" % (G.size, cap), required=G.size
         )
     return _up_closed_masks(G.size, G.wider, G.narrower)
-
-
-def count_up_sets(G, cap=20):
-    """Number of upward-closed subsets, via the same branching with a memo."""
-    if G.size > cap:
-        raise CapExceeded(
-            "pair poset has %d elements, cap is %d" % (G.size, cap), required=G.size
-        )
-    above, below = G.wider, G.narrower
-    memo = {}
-
-    def rec(undecided):
-        if not undecided:
-            return 1
-        got = memo.get(undecided)
-        if got is not None:
-            return got
-        i = (undecided & -undecided).bit_length() - 1
-        total = rec(undecided & ~((1 << i) | above[i])) + rec(
-            undecided & ~((1 << i) | below[i])
-        )
-        memo[undecided] = total
-        return total
-
-    return rec((1 << G.size) - 1)
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-
-
-def _refined_colors(P):
-    colors = [(P.up[x].bit_count(), P.down[x].bit_count()) for x in range(P.n)]
-    colors = _canon(colors)
-    for _ in range(P.n):
-        new = [
-            (
-                colors[x],
-                tuple(sorted(colors[y] for y in iterbits(P.up[x]))),
-                tuple(sorted(colors[y] for y in iterbits(P.down[x]))),
-            )
-            for x in range(P.n)
-        ]
-        new = _canon(new)
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
-def _canon(colors):
-    table = {c: i for i, c in enumerate(sorted(set(colors)))}
-    return [table[c] for c in colors]
-
-
-def find_isomorphism(P, Q, max_n=12):
-    """An order isomorphism P -> Q as a list (image of each element), or None.
-
-    Exhaustive search with color refinement pruning; refuses very large
-    inputs rather than silently taking forever.
-    """
-    if P.n != Q.n:
-        return None
-    if P.n > max_n:
-        raise SizeLimitExceeded(
-            "isomorphism search limited to %d elements, got %d" % (max_n, P.n)
-        )
-    n = P.n
-    if n == 0:
-        return []
-    cp = _refined_colors(P)
-    cq = _refined_colors(Q)
-    if sorted(cp) != sorted(cq):
-        return None
-    class_size = {c: cp.count(c) for c in set(cp)}
-    order = sorted(range(n), key=lambda x: (class_size[cp[x]], cp[x], x))
-    candidates = {x: [q for q in range(n) if cq[q] == cp[x]] for x in order}
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(k):
-        if k == n:
-            return True
-        x = order[k]
-        for q in candidates[x]:
-            if used[q]:
-                continue
-            ok = True
-            for j in range(k):
-                p2 = order[j]
-                q2 = image[p2]
-                if P.strict(x, p2) != Q.strict(q, q2) or P.strict(p2, x) != Q.strict(
-                    q2, q
-                ):
-                    ok = False
-                    break
-            if ok:
-                image[x] = q
-                used[q] = True
-                if extend(k + 1):
-                    return True
-                image[x] = -1
-                used[q] = False
-        return False
-
-    if extend(0):
-        return image
-    return None
-
-
-def is_isomorphic(P, Q, max_n=12):
-    return find_isomorphism(P, Q, max_n=max_n) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -170,23 +170,6 @@ class RoundtripReport:
     def all_passed(self):
         return all(r["passed"] for r in self.results)
 
-    def format_text(self):
-        lines = []
-        for r in self.results:
-            lines.append(
-                "seed=%d ideal_product_scheme=%s link_scheme=%s agree=%s" % (
-                    r["seed"],
-                    "ok" if r["ideal_products_exact"] else "MISMATCH",
-                    "ok" if r["links_exact"] else "MISMATCH",
-                    "yes" if r["schemes_agree"] else "NO",
-                )
-            )
-        lines.append(
-            "roundtrip %s (%d seeds)"
-            % ("passed" if self.all_passed else "FAILED", len(self.results))
-        )
-        return "\n".join(lines) + "\n"
-
 
 def _renamed(P, image):
     """P as recovery names it when element x sits at basis index image[x]:
@@ -197,7 +180,7 @@ def _renamed(P, image):
     return Poset(_labels_for([image[x] for x in order]), rows)
 
 
-def verify_roundtrip(P, seeds, rescale=True):
+def verify_roundtrip(P, seeds):
     """Scramble the reflexive table of P for each seed and recover it both
     ways.  A seed passes when both routes return exactly P renamed by the
     scramble's own permutation of the diagonal generators; the
@@ -207,7 +190,7 @@ def verify_roundtrip(P, seeds, rescale=True):
     diagonal = [A.index[Pair(x, x)] for x in range(P.n)]
     results = []
     for seed in seeds:
-        perm, scales = scramble_draws(table.dim, seed, rescale)
+        perm, scales = scramble_draws(table.dim, seed)
         puzzle = table.permuted_rescaled(perm, scales)
         want = _renamed(P, [perm[d] for d in diagonal])
         via_products = recover_by_ideal_products(puzzle)

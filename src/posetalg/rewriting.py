@@ -49,13 +49,12 @@ class RewriteSystem:
     """Rule set for one poset and triple convention.  Rules map a left side
     (tuple of element indices) to a shorter tuple or None for zero."""
 
-    __slots__ = ("poset", "triple_convention", "rules", "max_word_len")
+    __slots__ = ("poset", "triple_convention", "rules")
 
-    def __init__(self, poset, triple_convention, rules, max_word_len=MAX_WORD_LEN):
+    def __init__(self, poset, triple_convention, rules):
         self.poset = poset
         self.triple_convention = triple_convention
         self.rules = dict(rules)
-        self.max_word_len = max_word_len
 
     def sorted_rules(self):
         return sorted(self.rules.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -118,9 +117,9 @@ def _match_at(R, word, p):
 def reduce_word(R, word):
     """Normal form of the word (a tuple of element indices), None for zero."""
     word = tuple(word)
-    if len(word) > R.max_word_len:
+    if len(word) > MAX_WORD_LEN:
         raise WordLengthExceeded(
-            "word of length %d exceeds the limit %d" % (len(word), R.max_word_len)
+            "word of length %d exceeds the limit %d" % (len(word), MAX_WORD_LEN)
         )
     for i in word:
         if not 0 <= i < R.poset.n:

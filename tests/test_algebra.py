@@ -321,13 +321,6 @@ def test_scramble_is_deterministic_and_seed_sensitive():
     assert any(scramble(T, s) != scramble(T, 9) for s in range(1, 6))
 
 
-def test_scramble_without_rescale_keeps_unit_coefficients():
-    T = A_of(chain(3)).multiplication_table()
-    S = scramble(T, 4, rescale=False)
-    assert all(c == 1 for c, _ in S.entries.values())
-    assert len(S.entries) == len(T.entries)
-
-
 @settings(max_examples=30, deadline=None)
 @given(posets(max_n=4), st.integers(0, 2**32))
 def test_scrambled_tables_stay_associative(P, seed):

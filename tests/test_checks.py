@@ -1,6 +1,15 @@
 from fractions import Fraction
 
-from posetalg import IncidenceAlgebra, MultiplicationTable, boolean_lattice, chain, diamond, random_poset
+from posetalg import (
+    IncidenceAlgebra,
+    MultiplicationTable,
+    boolean_lattice,
+    chain,
+    diamond,
+    random_poset,
+    zero_ideal,
+)
+from posetalg import checks
 from posetalg.checks import (
     check_table,
     corpus_exhaustive4,
@@ -89,3 +98,19 @@ def test_corpora_are_pinned():
     assert get_corpus("exhaustive4")[0].n == 0
     with pytest.raises(ValueError):
         get_corpus("everything")
+
+
+def test_product_lemma_closed_form_leg_catches_a_wrong_product(monkeypatch):
+    P = chain(2)
+    A = IncidenceAlgebra(P, "reflexive")
+    monkeypatch.setattr(checks, "ideal_product", lambda I, J: zero_ideal(A))
+    r = checks.check_product_lemma(P, A)
+    assert not r.passed and "want" in r.detail
+
+
+def test_product_lemma_span_leg_catches_a_wrong_multiply(monkeypatch):
+    P = chain(2)
+    A = IncidenceAlgebra(P, "reflexive")
+    monkeypatch.setattr(IncidenceAlgebra, "multiply", lambda self, f, g: self.zero())
+    r = checks.check_product_lemma(P, A)
+    assert not r.passed and "span oracle disagrees" in r.detail

@@ -209,3 +209,32 @@ def test_recover_refuses_table_with_no_poset(capsys, tmp_path):
     assert out == ""
     assert "dim 2 but recovered poset has 0 comparable pairs" in err
     assert not out_path.exists()
+
+
+NOT_UTF8 = b"\xff\xfe"
+
+
+def test_non_utf8_file_exits_2_without_traceback(capsys, tmp_path):
+    p = tmp_path / "bad.bin"
+    p.write_bytes(NOT_UTF8)
+    for argv in (
+        ("info", "--input", str(p)),
+        ("recover", "--input", str(p)),
+        ("check", "--table", str(p)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "not UTF-8" in err
+        assert "Traceback" not in err
+
+
+def test_non_utf8_stdin_exits_2_without_traceback(capsys, monkeypatch):
+    import io
+
+    stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "info", "--input", "-")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: stdin is not UTF-8") and "Traceback" not in err

@@ -9,14 +9,13 @@ from posetalg import (
     IncidenceAlgebra,
     MultiplicationTable,
     NotAssociative,
+    Poset,
     RecoveredRelationNotTransitive,
     antichain,
     boolean_lattice,
     chain,
     covers,
     diamond,
-    dual,
-    find_isomorphism,
     principal_support,
     quasi_idempotents,
     random_poset,
@@ -28,7 +27,7 @@ from posetalg import (
 )
 from posetalg import recovery
 from posetalg.checks import run_poset_checks
-from posetalg.oracles import brute_maximal_supports
+from posetalg.oracles import brute_isomorphism, brute_maximal_supports
 
 from _strategies import posets
 
@@ -88,8 +87,8 @@ def test_recovery_from_pinned_scramble():
     via_links = recover_by_links(S)
     assert list(via_products.labels) == ["e1", "e2"]
     assert via_products.up == via_links.up
-    assert find_isomorphism(P, via_products) == [1, 0]
-    assert find_isomorphism(P, via_links) == [1, 0]
+    assert brute_isomorphism(P, via_products) == [1, 0]
+    assert brute_isomorphism(P, via_links) == [1, 0]
 
 
 def test_links_on_unscrambled_tables_are_covers():
@@ -103,12 +102,7 @@ def test_links_on_unscrambled_tables_are_covers():
 def test_roundtrip_report():
     report = verify_roundtrip(diamond(), seeds=(1, 2, 3))
     assert report.all_passed
-    text = report.format_text()
-    assert "seed=1" in text and "roundtrip passed (3 seeds)" in text
-
-
-def test_roundtrip_without_rescaling():
-    assert verify_roundtrip(boolean_lattice(2), seeds=(7,), rescale=False).all_passed
+    assert [r["seed"] for r in report.results] == [1, 2, 3]
 
 
 @settings(max_examples=30, deadline=None)
@@ -118,7 +112,6 @@ def test_roundtrip_property(P, seed):
 
 
 def test_every_check_passes_above_the_isomorphism_cap():
-    # find_isomorphism stops at 12 elements; the roundtrip no longer uses it
     for P in (chain(13), random_poset(16, 0.2, 4)):
         failed = [r for r in run_poset_checks(P) if not r.passed]
         assert failed == []
@@ -128,6 +121,10 @@ def test_roundtrip_compares_exactly_not_up_to_isomorphism(monkeypatch):
     # diamond() is self-dual, so an isomorphism test would accept the dual
     via_products = recovery.recover_by_ideal_products
     via_links = recovery.recover_by_links
+
+    def dual(Q):
+        return Poset(Q.labels, Q.down)
+
     monkeypatch.setattr(
         recovery, "recover_by_ideal_products", lambda t: dual(via_products(t))
     )
@@ -137,7 +134,6 @@ def test_roundtrip_compares_exactly_not_up_to_isomorphism(monkeypatch):
     for r in report.results:
         assert not r["ideal_products_exact"] and not r["links_exact"]
         assert r["schemes_agree"]
-    assert "MISMATCH" in report.format_text()
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +198,7 @@ def test_quiver_table_breaks_transitivity():
     assert err.value.witness is not None
     # the link scheme alone cannot tell: it happily builds a chain
     Q = recover_by_links(T)
-    assert find_isomorphism(Q, chain(3)) is not None
+    assert brute_isomorphism(Q, chain(3)) is not None
 
 
 def test_nonassociative_table_is_rejected_up_front():
