@@ -14,7 +14,9 @@ module solves.
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import count
 
 from . import poset as _poset
 from .errors import (
@@ -177,16 +179,16 @@ class IncidenceAlgebra:
         return mat
 
     def multiplication_table(self):
-        gens = self.generators
         index = self.index
+        by_first = [[] for _ in range(self.poset.n)]
+        for j, (u, v) in enumerate(self.generators):
+            by_first[u].append((j, v))
+        one = Fraction(1)
         entries = {}
-        for i, (x, y) in enumerate(gens):
-            for j, (u, v) in enumerate(gens):
-                if y != u:
-                    continue
-                k = index.get(Pair(x, v))
-                if k is not None:
-                    entries[(i, j)] = (Fraction(1), k)
+        for i, (x, y) in enumerate(self.generators):
+            # x <= y <= v gives x <= v, strict when y < v
+            for j, v in by_first[y]:
+                entries[(i, j)] = (one, index[Pair(x, v)])
         return MultiplicationTable(self.dim, entries)
 
     def nilpotency_index(self):
@@ -276,9 +278,15 @@ class MultiplicationTable:
     """Monomial structure constants: (i, j) -> (coeff, k) meaning
     b_i b_j = coeff * b_k; missing entries are zero products.  The index
     right[i][j] = left[j][i] = (coeff, k) holds the same present products,
-    keyed only by indices that occur, so its size never follows dim."""
+    keyed only by indices that occur, so its size never follows dim.
 
-    __slots__ = ("dim", "entries", "right", "left", "_witness")
+    Associativity is settled once per table: first by certified(), which
+    proves a rescaled incidence table associative in O(entries), and only
+    when that fails by the triple scan, which finds the witness a refusal
+    reports or finds none (the table is associative but is not a rescaled
+    incidence table)."""
+
+    __slots__ = ("dim", "entries", "right", "left", "_witness", "_certified")
 
     def __init__(self, dim, entries):
         self.dim = dim
@@ -294,6 +302,7 @@ class MultiplicationTable:
             right.setdefault(i, {})[j] = hit
             left.setdefault(j, {})[i] = hit
         self._witness = _UNCHECKED
+        self._certified = None
 
     def __eq__(self, other):
         return (
@@ -308,14 +317,78 @@ class MultiplicationTable:
     def associativity_witness(self):
         """A triple (i, j, l) where (b_i b_j) b_l != b_i (b_j b_l), or None.
 
-        Any violating triple either has (i, j) present in the table, or has
-        (i, j) absent while b_j b_l and the outer product are both present;
-        the two sweeps below try only the l, resp. i, with a product present,
-        since every other one gives zero on both sides.  Computed once.
+        None at once when certified() passes.  Otherwise the triple scan
+        decides: any violating triple either has (i, j) present in the
+        table, or has (i, j) absent while b_j b_l and the outer product are
+        both present; the two sweeps below try only the l, resp. i, with a
+        product present, since every other one gives zero on both sides.
+        Computed once.
         """
         if self._witness is _UNCHECKED:
-            self._witness = self._first_witness()
+            self._witness = None if self.certified() else self._first_witness()
         return self._witness
+
+    def certified(self):
+        """True when the table is shown to be a rescaled incidence table of
+        a preorder, and hence associative, in O(entries).  Computed once.
+
+        Each index k is placed at (x, y): e_x is the one quasi-idempotent
+        with a product in left[k] and e_y the one with a product in
+        right[k], each acting on b_k by its own square's coefficient.  The
+        placement must be injective, the composable placed pairs must number
+        the entries, and scales s must give b_i b_j = (s_i s_j / s_k) b_k on
+        every entry, with k placed at (x_i, y_j).  Then k -> s_k E_xy maps
+        the table into the matrices as a span of scaled matrix units closed
+        under products, so the table is associative.  False says only that
+        no such certificate was found.
+        """
+        if self._certified is None:
+            self._certified = self._certify()
+        return self._certified
+
+    def _certify(self):
+        dim, entries, right, left = self.dim, self.entries, self.right, self.left
+        if len(left) < dim or len(right) < dim:
+            return False  # an index with no product on one side is not placed
+        square = {}
+        for i, row in right.items():
+            hit = row.get(i)
+            if hit is not None and hit[1] == i:
+                square[i] = hit[0]
+        starts = [None] * dim
+        ends = [None] * dim
+        for q, c in square.items():
+            for j, hit in right[q].items():
+                if starts[j] is not None or hit != (c, j):
+                    return False
+                starts[j] = q
+            for i, hit in left[q].items():
+                if ends[i] is not None or hit != (c, i):
+                    return False
+                ends[i] = q
+        if None in starts or None in ends or len(set(zip(starts, ends))) < dim:
+            return False
+        leaving = Counter(starts)
+        if sum(n * leaving[q] for q, n in Counter(ends).items()) != len(entries):
+            return False
+        # entries with a quasi-idempotent factor were checked as they placed
+        # an index; the rest are the equations s_i s_j = c s_k
+        scale = _solve_scales(entries, right, left, square, starts, ends)
+        num = [s.numerator for s in scale]
+        den = [s.denominator for s in scale]
+        for (i, j), (c, k) in entries.items():
+            if i in square or j in square:
+                continue
+            if (
+                ends[i] != starts[j]
+                or starts[k] != starts[i]
+                or ends[k] != ends[j]
+                # c s_k == s_i s_j, cross-multiplied over the integers
+                or c.numerator * num[k] * den[i] * den[j]
+                != c.denominator * den[k] * num[i] * num[j]
+            ):
+                return False
+        return True
 
     def _first_witness(self):
         right, left, none = self.right, self.left, {}
@@ -403,6 +476,120 @@ class MultiplicationTable:
                 raise NotMonomial("duplicate entry for product (%d, %d)" % (i, j))
             entries[(i, j)] = (c, k)
         return cls(dim, entries)
+
+
+def _solve_scales(entries, right, left, square, starts, ends):
+    """Scales s with s_i s_j = c s_k on the entries free of quasi-idempotent
+    factors, in a table whose index k is placed at (starts[k], ends[k]);
+    s_q is the square coefficient of each quasi-idempotent q.  The caller
+    checks every entry against the result.
+
+    An index that no such entry reaches is a cover.  The covers of a
+    spanning forest of the undirected cover graph are set to 1, which a
+    rescaling of the basis can always arrange, and every equation with two
+    known scales then gives the third.  When that stalls, the first unknown
+    scale becomes a parameter t, carried as exponents beside the rational
+    part.  An equation that closes with some parameter to the power 1 or -1
+    solves for it in terms of the others, and a parameter never solved for
+    is left at 1."""
+    dim = len(starts)
+    scale = [None] * dim
+    for q, c in square.items():
+        scale[q] = c
+    landing = {}
+    for key, (_, k) in entries.items():
+        if key[0] not in square and key[1] not in square:
+            landing.setdefault(k, []).append(key)
+    root = {q: q for q in square}
+
+    def find(q):
+        while root[q] != q:
+            root[q] = q = root[root[q]]
+        return q
+
+    todo = []
+    for k in range(dim):
+        if scale[k] is None and k not in landing:
+            a, b = find(starts[k]), find(ends[k])
+            if a != b:
+                root[a] = b
+                scale[k] = Fraction(1)
+                todo.append(k)
+    exponents = {}  # index -> {parameter: power} while its scale has one
+    mentions = {}  # parameter -> the indices whose exponents name it
+    none = {}
+
+    def power_sum(*signed):
+        out = {}
+        for a, sign in signed:
+            for p, power in exponents.get(a, none).items():
+                out[p] = out.get(p, 0) + sign * power
+        return {p: power for p, power in out.items() if power}
+
+    def learn(u, value, *signed):
+        scale[u] = value
+        todo.append(u)
+        e = power_sum(*signed) if exponents else none
+        if e:
+            exponents[u] = e
+            for p in e:
+                mentions[p].add(u)
+
+    def pin(i, j, c, k):
+        e = power_sum((i, 1), (j, 1), (k, -1))
+        p = next((p for p in sorted(e) if e[p] in (1, -1)), None)
+        if p is None:
+            return  # nothing to pin here; the caller's sweep judges
+        sign = e.pop(p)
+        # t_p = t * (the product of t_q ** (-sign * e[q]) over the others)
+        t = (c * scale[k] / (scale[i] * scale[j])) ** sign
+        for m in mentions.pop(p):
+            rest = exponents.get(m, none)
+            power = rest.pop(p, 0)
+            if not power:
+                continue  # a stale mention: that power has cancelled
+            scale[m] *= t ** power
+            for q, f in e.items():
+                rest[q] = rest.get(q, 0) - sign * f * power
+                mentions[q].add(m)
+            exponents[m] = {q: f for q, f in rest.items() if f}
+            if not exponents[m]:
+                del exponents[m]
+
+    def settle(i, j, c, k):
+        si, sj, sk = scale[i], scale[j], scale[k]
+        if sk is None:
+            if si is not None and sj is not None:
+                learn(k, si * sj / c, (i, 1), (j, 1))
+        elif si is None:
+            if sj is not None:
+                learn(i, c * sk / sj, (k, 1), (j, -1))
+        elif sj is None:
+            learn(j, c * sk / si, (k, 1), (i, -1))
+        elif exponents:
+            pin(i, j, c, k)
+
+    unknown = iter(range(dim))
+    fresh = count()
+    while True:
+        while todo:
+            a = todo.pop()
+            for j, (c, k) in right[a].items():
+                if j not in square:
+                    settle(a, j, c, k)
+            for i, (c, k) in left[a].items():
+                if i not in square:
+                    settle(i, a, c, k)
+            for i, j in landing.get(a, ()):
+                settle(i, j, entries[i, j][0], a)
+        u = next((u for u in unknown if scale[u] is None), None)
+        if u is None:
+            return scale
+        p = next(fresh)
+        scale[u] = Fraction(1)
+        exponents[u] = {p: 1}
+        mentions[p] = {u}
+        todo.append(u)
 
 
 def scramble_draws(dim, seed):

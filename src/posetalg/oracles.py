@@ -17,7 +17,14 @@ from .errors import (
     RecoveredRelationNotTransitive,
     SizeLimitExceeded,
 )
-from .poset import Pair, Poset, iterbits, natural_labeling, transitive_closure
+from .poset import (
+    Pair,
+    Poset,
+    all_pairs,
+    iterbits,
+    natural_labeling,
+    transitive_closure,
+)
 from .rewriting import MAX_WORD_LEN, reduce_word
 
 _SUBSET_LIMIT = 15
@@ -58,6 +65,20 @@ def brute_covers(P):
             if not any(P.strict(x, z) and P.strict(z, y) for z in range(P.n)):
                 out.append(Pair(x, y))
     return out
+
+
+def brute_pair_nesting(P):
+    """(wider, narrower) masks of the pair poset by comparing every two
+    comparable pairs: [u,v] is wider than [x,y] when u <= x and y <= v."""
+    pairs = all_pairs(P)
+    wider = [0] * len(pairs)
+    narrower = [0] * len(pairs)
+    for i, (x, y) in enumerate(pairs):
+        for j, (u, v) in enumerate(pairs):
+            if i != j and P.leq(u, x) and P.leq(y, v):
+                wider[i] |= 1 << j
+                narrower[j] |= 1 << i
+    return wider, narrower
 
 
 def brute_isomorphism(P, Q):

@@ -229,18 +229,30 @@ class PairPoset:
 
     def __init__(self, P):
         pairs = all_pairs(P)
-        m = len(pairs)
         index = {p: i for i, p in enumerate(pairs)}
-        wider = [0] * m
-        narrower = [0] * m
-        for i, (x, y) in enumerate(pairs):
-            for j, (u, v) in enumerate(pairs):
-                if i != j and P.leq(u, x) and P.leq(y, v):
-                    wider[i] |= 1 << j
-                    narrower[j] |= 1 << i
         by_first = [[] for _ in range(P.n)]
-        for i, p in enumerate(pairs):
-            by_first[p.x].append(i)
+        first = [0] * P.n  # pairs starting at x
+        last = [0] * P.n  # pairs ending at y
+        for i, (x, y) in enumerate(pairs):
+            by_first[x].append(i)
+            first[x] |= 1 << i
+            last[y] |= 1 << i
+
+        def spread(masks, rows):
+            # the masks of x and of every element in rows[x]
+            out = list(masks)
+            for x in range(P.n):
+                for u in iterbits(rows[x]):
+                    out[x] |= masks[u]
+            return out
+
+        starts_below, starts_above = spread(first, P.down), spread(first, P.up)
+        ends_above, ends_below = spread(last, P.up), spread(last, P.down)
+        # [u,v] is wider than [x,y] when u <= x and y <= v
+        wider = [starts_below[x] & ends_above[y] & ~(1 << i)
+                 for i, (x, y) in enumerate(pairs)]
+        narrower = [starts_above[x] & ends_below[y] & ~(1 << i)
+                    for i, (x, y) in enumerate(pairs)]
         self.poset = P
         self.pairs = tuple(pairs)
         self.index = index

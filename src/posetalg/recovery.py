@@ -46,19 +46,19 @@ def quasi_idempotents(table):
 def principal_support(table, i):
     """Support mask of the two-sided ideal generated by basis element i.
 
-    Worklist closure under single left and right table products; the table
-    is monomial and every longer word is an iterate of those.
+    In an associative monomial table every word a b_i b is a multiple of
+    one product (a b_i) b, so the ideal is spanned by b_i, its right
+    products R, its left products L and the right products of L.
     """
     table.ensure_associative()
+    right, none = table.right, {}
     support = 1 << i
-    todo = [i]
-    while todo:
-        a = todo.pop()
-        for row in (table.right.get(a, {}), table.left.get(a, {})):
-            for _, k in row.values():
-                if not support >> k & 1:
-                    support |= 1 << k
-                    todo.append(k)
+    for _, k in right.get(i, none).values():
+        support |= 1 << k
+    for l in {l for _, l in table.left.get(i, none).values()}:
+        support |= 1 << l
+        for _, k in right.get(l, none).values():
+            support |= 1 << k
     return support
 
 
@@ -72,11 +72,14 @@ def recover_by_ideal_products(table):
     qs = quasi_idempotents(table)
     n = len(qs)
     supports = [principal_support(table, q) for q in qs]
+    right, none = table.right, {}
     rows = [0] * n
-    for x in range(n):
+    for x, q in enumerate(qs):
+        # (a b_q b) c != 0 forces (b_q b) c != 0, so the right factors of
+        # the members of I_q are those of b_q and of its right products
         factors = 0
-        for a in iterbits(supports[x]):
-            for b in table.right.get(a, ()):
+        for r in {q} | {r for _, r in right.get(q, none).values()}:
+            for b in right.get(r, none):
                 factors |= 1 << b
         for y in range(n):
             if x != y and factors & supports[y]:

@@ -163,6 +163,18 @@ CHAIN2_TABLE_JSON = (
 )
 
 
+def test_table_lists_every_generator_product(corpus_algebras):
+    for A in corpus_algebras:
+        want = {}
+        for i in range(A.dim):
+            for j in range(A.dim):
+                product = A.generator(i) * A.generator(j)
+                if product:
+                    ((k, c),) = product.coeffs.items()
+                    want[(i, j)] = (c, k)
+        assert A.multiplication_table().entries == want, A
+
+
 def test_table_golden_chain2():
     T = A_of(chain(2)).multiplication_table()
     assert T.to_json_text() == CHAIN2_TABLE_JSON

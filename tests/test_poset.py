@@ -33,6 +33,7 @@ from posetalg.oracles import (
     brute_antichain_count,
     brute_covers,
     brute_isomorphism,
+    brute_pair_nesting,
     brute_up_closed_masks,
 )
 from posetalg.poset import all_pairs, transitive_closure
@@ -232,6 +233,13 @@ def test_pair_poset_chain2():
     assert G.minimal_of(0b111) == [0, 1]
     assert G.pair_label(2) == "[a,b]"
     assert len(list(enumerate_up_sets(G))) == 5
+
+
+def test_pair_nesting_matches_the_pairwise_definition(corpus):
+    for P in corpus + [boolean_lattice(4)]:
+        G = pair_poset(P)
+        wider, narrower = brute_pair_nesting(P)
+        assert list(G.wider) == wider and list(G.narrower) == narrower, P
 
 
 def test_diagonals_are_the_minimal_pairs():

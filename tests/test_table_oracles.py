@@ -12,8 +12,10 @@ from posetalg import (
     PosetAlgebraError,
     boolean_lattice,
     chain,
+    poset_from_relations,
     principal_support,
     quasi_idempotents,
+    random_poset,
     recover_by_ideal_products,
     recover_by_links,
     recovered_links,
@@ -52,6 +54,8 @@ def brute_links(T):
 
 
 def assert_matches_oracles(T):
+    # a certified table skips the scan, so a certificate passing a table
+    # that is not associative shows here as None against the oracle's triple
     assert T.associativity_witness() == brute_associativity_witness(T)
     pairs = [
         (quasi_idempotents, brute_quasi_idempotents),
@@ -130,3 +134,108 @@ def test_diagnostic_tables_match_oracles():
     for P in (chain(8), boolean_lattice(3)):
         T = IncidenceAlgebra(P, "reflexive").multiplication_table()
         assert_matches_oracles(scramble(T, 7))
+
+
+# ---------------------------------------------------------------------------
+# the certificate: sound on every table, complete on rescaled incidence tables
+
+
+def assert_sound(T):
+    if T.certified():
+        assert brute_associativity_witness(T) is None
+
+
+def edited(T, key, edit):
+    """T with the entry at key dropped, negated or tripled."""
+    entries = dict(T.entries)
+    c, k = entries.pop(key)
+    if edit != "drop":
+        entries[key] = (-c if edit == "negate" else 3 * c, k)
+    return MultiplicationTable(T.dim, entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    posets(max_n=5).filter(lambda P: P.n),
+    st.integers(0, 2**30),
+    st.sampled_from(["drop", "negate", "triple"]),
+    st.data(),
+)
+def test_certified_edited_incidence_tables_are_associative(P, seed, edit, data):
+    T = scramble(IncidenceAlgebra(P, "reflexive").multiplication_table(), seed)
+    key = data.draw(st.sampled_from(sorted(T.entries)))
+    assert_sound(edited(T, key, edit))
+
+
+def sphere():
+    """a1,a2 < b1,b2 < c1,c2: its order complex is a 2-sphere."""
+    low, mid, high = ("a1", "a2"), ("b1", "b2"), ("c1", "c2")
+    relations = [(x, y) for x in low for y in mid]
+    relations += [(x, y) for x in mid for y in high]
+    return poset_from_relations(low + mid + high, relations)
+
+
+def test_every_one_entry_edit_is_judged_soundly():
+    for P in (chain(4), boolean_lattice(2), sphere()):
+        T = scramble(IncidenceAlgebra(P, "reflexive").multiplication_table(), 5)
+        for key in sorted(T.entries):
+            for edit in ("drop", "negate", "triple"):
+                assert_sound(edited(T, key, edit))
+
+
+def test_duplicated_index_is_not_certified():
+    # chain(4) plus an index r placed, like [a,d], at (e_a, e_d);
+    # [a,b][b,d] lands on r, so ([a,b][b,c])[c,d] = [a,d] differs from
+    # [a,b]([b,c][c,d]) = r, yet every entry fits the placement and the
+    # composable placed pairs number the entries
+    A = IncidenceAlgebra(chain(4), "reflexive")
+    entries = dict(A.multiplication_table().entries)
+    one = Fraction(1)
+    r = A.dim
+    g = {pair: i for i, pair in enumerate(A.generators)}
+    a, b, d = g[(0, 0)], g[(0, 1)], g[(1, 3)]
+    entries[(a, r)] = entries[(r, g[(3, 3)])] = (one, r)
+    entries[(b, d)] = (one, r)
+    T = MultiplicationTable(A.dim + 1, entries)
+    assert not T.certified()
+    witness = brute_associativity_witness(T)
+    assert witness is not None and T.associativity_witness() == witness
+
+
+def test_scrambled_corpus_tables_are_certified(corpus_tables):
+    for T in corpus_tables:
+        for seed in (1, 2, 3):
+            assert scramble(T, seed).certified(), (T, seed)
+
+
+def test_larger_scrambled_tables_are_certified():
+    for P in (boolean_lattice(4), random_poset(40, 0.1, 3)):
+        T = IncidenceAlgebra(P, "reflexive").multiplication_table()
+        for seed in range(1, 11):
+            assert scramble(T, seed).certified(), (P, seed)
+
+
+def test_stalled_scales_are_solved_for():
+    # these scrambles stall the propagation on a scale that later equations
+    # fix, so setting it to 1 fails the sweep: under seeds 18 and 22 an
+    # equation pins the parameter alone, under 198 and 225 only in terms
+    # of a second parameter
+    T = IncidenceAlgebra(random_poset(40, 0.1, 3), "reflexive").multiplication_table()
+    for seed in (18, 22, 198, 225):
+        assert scramble(T, seed).certified(), seed
+
+
+def test_twisted_sphere_table_is_not_certified_but_associative():
+    # negating [a1,b1][b1,c1] leaves the table associative, but the
+    # product of the signs of its eight triangles is -1, which no
+    # rescaling of an incidence table gives
+    A = IncidenceAlgebra(sphere(), "reflexive")
+    entries = dict(A.multiplication_table().entries)
+    a1, b1, c1 = (sphere().index(lab) for lab in ("a1", "b1", "c1"))
+    key = (A.index[(a1, b1)], A.index[(b1, c1)])
+    c, k = entries[key]
+    entries[key] = (-c, k)
+    for seed in (1, 2, 3):
+        T = scramble(MultiplicationTable(A.dim, entries), seed)
+        assert not T.certified()
+        assert T.associativity_witness() is None
