@@ -440,6 +440,14 @@ class MultiplicationTable:
 
     @classmethod
     def from_json_text(cls, text):
+        """Parse the JSON that to_json_text writes.
+
+        Raises ParseError for text that is not JSON, a document without an
+        integer 'dim' >= 0 and an 'entries' list, a row that is not
+        [i, j, coeff, k] with integer indices below dim, a coefficient that
+        Fraction cannot read or whose exponent is past 4300 and a zero
+        coefficient, and NotMonomial for a second row with the same (i, j).
+        Each distinct coefficient text is read once."""
         try:
             data = json.loads(text)
         except (ValueError, RecursionError) as e:
@@ -452,30 +460,40 @@ class MultiplicationTable:
         if not isinstance(data["entries"], list):
             raise ParseError("'entries' must be a list")
         entries = {}
+        # keyed by text, not by the JSON value: 1, 1.0 and true hash alike
+        coefficients = {}
         for row in data["entries"]:
-            if not (isinstance(row, list) and len(row) == 4):
+            if type(row) is not list or len(row) != 4:
                 raise ParseError("each entry must be [i, j, coeff, k], got %r" % (row,))
             i, j, coeff, k = row
-            if not all(type(v) is int for v in (i, j, k)):
+            if type(i) is not int or type(j) is not int or type(k) is not int:
                 raise ParseError("entry indices must be integers in %r" % (row,))
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ParseError("entry indices out of range in %r" % (row,))
             text = str(coeff)
-            # Fraction would expand an exponent past Python's default int
-            # digit limit (4300) into an integer that large before any check
-            exponent = re.search(r"e([-+]?[\d_]+)\s*\Z", text, re.IGNORECASE)
-            try:
-                if exponent and abs(int(exponent.group(1))) > 4300:
-                    raise ParseError("coefficient exponent past 4300 in %r" % (row,))
-                c = Fraction(text)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError("bad coefficient %r" % (coeff,)) from None
-            if not c:
-                raise ParseError("zero coefficient in %r (omit zero products)" % (row,))
+            c = coefficients.get(text)
+            if c is None:
+                c = coefficients[text] = _coefficient(text, coeff, row)
             if (i, j) in entries:
                 raise NotMonomial("duplicate entry for product (%d, %d)" % (i, j))
             entries[(i, j)] = (c, k)
         return cls(dim, entries)
+
+
+def _coefficient(text, coeff, row):
+    """The nonzero Fraction that text = str(coeff) spells in a table row."""
+    # Fraction would expand an exponent past Python's default int digit
+    # limit (4300) into an integer that large before any check
+    exponent = re.search(r"e([-+]?[\d_]+)\s*\Z", text, re.IGNORECASE)
+    try:
+        if exponent and abs(int(exponent.group(1))) > 4300:
+            raise ParseError("coefficient exponent past 4300 in %r" % (row,))
+        c = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError("bad coefficient %r" % (coeff,)) from None
+    if not c:
+        raise ParseError("zero coefficient in %r (omit zero products)" % (row,))
+    return c
 
 
 def _solve_scales(entries, right, left, square, starts, ends):

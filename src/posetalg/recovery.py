@@ -40,7 +40,8 @@ from .poset import Pair, Poset, iterbits, transitive_closure
 def quasi_idempotents(table):
     """Indices i with b_i^2 = c * b_i, c != 0.  Validates associativity."""
     table.ensure_associative()
-    return sorted(i for (i, j), (_, k) in table.entries.items() if i == j == k)
+    miss = (None, None)
+    return sorted(i for i, after in table.right.items() if after.get(i, miss)[1] == i)
 
 
 def principal_support(table, i):

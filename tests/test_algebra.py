@@ -23,7 +23,7 @@ from posetalg import (
     recover_by_links,
     scramble,
 )
-from posetalg.oracles import element_product_via_matrices
+from posetalg.oracles import brute_associativity_witness, element_product_via_matrices
 
 from _strategies import elements_of, posets
 
@@ -214,33 +214,6 @@ def test_incidence_tables_are_associative():
             T.ensure_associative()
 
 
-def _brute_assoc_witness(table):
-    # literal triple scan, used only to validate the sparse sweep
-    def hit(i, j):
-        return table.entries.get((i, j))
-
-    for i in range(table.dim):
-        for j in range(table.dim):
-            for l in range(table.dim):
-                ij = hit(i, j)
-                left = None
-                if ij is not None:
-                    k = ij[1]
-                    kl = hit(k, l)
-                    if kl is not None:
-                        left = (ij[0] * kl[0], kl[1])
-                jl = hit(j, l)
-                right = None
-                if jl is not None:
-                    k = jl[1]
-                    ik = hit(i, k)
-                    if ik is not None:
-                        right = (jl[0] * ik[0], ik[1])
-                if left != right:
-                    return (i, j, l)
-    return None
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(2, 4),
@@ -257,9 +230,7 @@ def test_associativity_witness_agrees_with_brute_scan(dim, raw):
         if i < dim and j < dim and k < dim
     }
     T = MultiplicationTable(dim, entries)
-    assert (T.associativity_witness() is None) == (
-        _brute_assoc_witness(T) is None
-    )
+    assert T.associativity_witness() == brute_associativity_witness(T)
 
 
 def test_nonassociative_table_raises_with_witness():
