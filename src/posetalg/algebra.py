@@ -445,8 +445,9 @@ class MultiplicationTable:
         Raises ParseError for text that is not JSON, a document without an
         integer 'dim' >= 0 and an 'entries' list, a row that is not
         [i, j, coeff, k] with integer indices below dim, a coefficient that
-        Fraction cannot read or whose exponent is past 4300 and a zero
-        coefficient, and NotMonomial for a second row with the same (i, j).
+        Fraction cannot read, whose exponent is past 4300 or whose digits
+        cannot be written back, and a zero coefficient, and NotMonomial for
+        a second row with the same (i, j).
         Each distinct coefficient text is read once."""
         try:
             data = json.loads(text)
@@ -493,6 +494,10 @@ def _coefficient(text, coeff, row):
         raise ParseError("bad coefficient %r" % (coeff,)) from None
     if not c:
         raise ParseError("zero coefficient in %r (omit zero products)" % (row,))
+    try:
+        str(c)  # what to_json_text writes; past the int digit limit it raises
+    except ValueError:
+        raise ParseError("coefficient too long to write back in %r" % (row,)) from None
     return c
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import IncidenceAlgebra
-from .errors import NoPosetBehindTable, PosetAlgebraError
+from .errors import NoPosetBehindTable, PosetAlgebraError, SizeLimitExceeded
 from .ideals import (
     enumerate_ideals,
     ideal_generated_by,
@@ -133,8 +133,11 @@ def check_ideal_count(P, A, enum_cap):
     G = A.pair_poset()
     if G.size > enum_cap:
         return _skip("ideal_count", "%d pairs over cap" % G.size)
+    try:
+        want = brute_antichain_count(G.size, G.wider)
+    except SizeLimitExceeded as e:
+        return _skip("ideal_count", str(e))
     got = sum(1 for _ in enumerate_ideals(A, cap=enum_cap))
-    want = brute_antichain_count(G.size, G.wider)
     if got != want:
         return _fail("ideal_count", "%r enumerated %d, antichains %d" % (P, got, want))
     return _ok("ideal_count")
@@ -153,22 +156,16 @@ def check_sum_lemma(P, A, enum_cap):
 
 
 def check_intersection_is_meet(P, A, enum_cap):
-    """I & J must be the largest enumerated ideal inside both."""
+    """I & J of any two enumerated ideals is itself enumerated."""
     G = A.pair_poset()
     if G.size > enum_cap:
         return _skip("intersection_meet", "%d pairs over cap" % G.size)
     masks = [I.up_mask for I in enumerate_ideals(A, cap=enum_cap)]
-    sample = masks[: min(len(masks), 48)]
-    for m1 in sample:
-        for m2 in sample:
-            meet = 0
-            for k in masks:
-                if k & ~m1 == 0 and k & ~m2 == 0 and k & ~meet != 0 and meet & ~k == 0:
-                    meet = k
-            if meet != m1 & m2:
-                return _fail(
-                    "intersection_meet", "%r masks %d,%d" % (P, m1, m2)
-                )
+    listed = set(masks)
+    for m1 in masks:
+        for m2 in masks:
+            if m1 & m2 not in listed:
+                return _fail("intersection_meet", "%r masks %d,%d" % (P, m1, m2))
     return _ok("intersection_meet")
 
 
@@ -207,10 +204,9 @@ def check_product_lemma(P, A):
 
 
 def check_product_in_intersection(P, A):
-    for i in range(A.dim):
-        Pi = principal_ideal(A, i)
-        for j in range(A.dim):
-            Pj = principal_ideal(A, j)
+    principals = [principal_ideal(A, i) for i in range(A.dim)]
+    for i, Pi in enumerate(principals):
+        for j, Pj in enumerate(principals):
             prod = ideal_product(Pi, Pj)
             if prod.up_mask & ~(Pi.up_mask & Pj.up_mask):
                 return _fail(
@@ -258,25 +254,22 @@ def check_idempotence(P, A):
 
 
 def check_maximality(P, A, enum_cap):
+    """Each maximal ideal drops one diagonal pair, and every proper
+    enumerated ideal lies inside one of them."""
     G = A.pair_poset()
     full = (1 << A.dim) - 1
-    for M in maximal_ideals(A):
-        missing = full & ~M.up_mask
+    max_masks = [M.up_mask for M in maximal_ideals(A)]
+    for m in max_masks:
+        missing = full & ~m
         if missing.bit_count() != 1:
             return _fail("maximality", "%r complement not a single pair" % (P,))
         i = missing.bit_length() - 1
         if A.generators[i].x != A.generators[i].y:
             return _fail("maximality", "%r missing pair not diagonal" % (P,))
     if G.size <= enum_cap:
-        max_masks = set(M.up_mask for M in maximal_ideals(A))
         for I in enumerate_ideals(A, cap=enum_cap):
-            if I.up_mask == full or I.up_mask in max_masks:
-                continue
-            for m in max_masks:
-                if m & ~I.up_mask == 0 and I.up_mask != m:
-                    return _fail(
-                        "maximality", "%r ideal strictly between %r and full" % (P, I)
-                    )
+            if I.up_mask != full and all(I.up_mask & ~m for m in max_masks):
+                return _fail("maximality", "%r ideal %r in no maximal ideal" % (P, I))
     return _ok("maximality")
 
 

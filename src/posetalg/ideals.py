@@ -19,6 +19,7 @@ pairs the up-set description does not apply, and the constructors refuse.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 from .algebra import AlgebraElement
 from .errors import AlgebraMismatch, CapExceeded, ConventionError
@@ -311,12 +312,10 @@ def ideal_lattice_dot(A, cap=64):
     """
     _require_reflexive(A)
     G = A.pair_poset()
-    masks = list(enumerate_up_sets(G, cap=20))
+    # s pairs give at least s + 1 ideals, so the pair cap refuses exactly
+    masks = list(islice(enumerate_up_sets(G, cap=cap), cap + 1))
     if len(masks) > cap:
-        raise CapExceeded(
-            "%d ideals exceed the lattice export cap %d" % (len(masks), cap),
-            required=len(masks),
-        )
+        raise CapExceeded("more than %d ideals, the lattice export cap" % cap)
     masks.sort(key=lambda m: (m.bit_count(), m))
     names = {}
     for m in masks:

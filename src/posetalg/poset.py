@@ -303,17 +303,18 @@ def pair_poset(P):
 
 
 def _up_closed_masks(n, above, below):
-    def rec(undecided, current):
+    # depth first, "in" before "out", on a stack: no recursion limit on n
+    stack = [((1 << n) - 1, 0)]
+    while stack:
+        undecided, current = stack.pop()
         if not undecided:
             yield current
-            return
+            continue
         i = (undecided & -undecided).bit_length() - 1
-        forced_in = (1 << i) | above[i]
-        yield from rec(undecided & ~forced_in, current | forced_in)
         forced_out = (1 << i) | below[i]
-        yield from rec(undecided & ~forced_out, current)
-
-    yield from rec((1 << n) - 1, 0)
+        stack.append((undecided & ~forced_out, current))
+        forced_in = (1 << i) | above[i]
+        stack.append((undecided & ~forced_in, current | forced_in))
 
 
 def enumerate_up_sets(G, cap=20):

@@ -3,9 +3,12 @@ from fractions import Fraction
 from posetalg import (
     IncidenceAlgebra,
     MultiplicationTable,
+    antichain,
     boolean_lattice,
     chain,
     diamond,
+    maximal_ideals,
+    poset_from_relations,
     random_poset,
     zero_ideal,
 )
@@ -34,6 +37,40 @@ def test_suite_skips_when_over_cap():
     assert by_name["ideal_count"].skipped
     assert by_name["sum_lemma"].skipped
     assert all(r.passed for r in results)
+
+
+def test_ideal_count_skips_past_the_antichain_oracle():
+    # 16 comparable pairs: inside the enumeration cap, past the oracle's 15
+    P = poset_from_relations("abcdef", list(zip("abcd", "bcde")))
+    results = run_poset_checks(P, enum_cap=16)
+    by_name = {r.name: r for r in results}
+    assert by_name["ideal_count"].skipped
+    assert "subset filter capped at 15" in by_name["ideal_count"].detail
+    assert all(r.passed for r in results)
+    assert sum(r.skipped for r in results) == 1
+
+
+def test_maximality_catches_a_missing_maximal_ideal(monkeypatch):
+    P = diamond()
+    A = IncidenceAlgebra(P, "reflexive")
+    assert checks.check_maximality(P, A, 12).passed
+    monkeypatch.setattr(checks, "maximal_ideals", lambda A: maximal_ideals(A)[:-1])
+    r = checks.check_maximality(P, A, 12)
+    assert not r.passed and "in no maximal ideal" in r.detail
+
+
+def test_intersection_check_catches_a_missing_meet(monkeypatch):
+    P = antichain(6)
+    A = IncidenceAlgebra(P, "reflexive")
+    assert checks.check_intersection_is_meet(P, A, 12).passed
+    # {[a,a],[b,b]} is the intersection of {[a,a],[b,b],[c,c]} and
+    # {[a,a],[b,b],[d,d]}, both still listed
+    listed = list(checks.enumerate_ideals(A, cap=12))
+    assert {0b000111, 0b001011} <= {I.up_mask for I in listed}
+    kept = [I for I in listed if I.up_mask != 0b000011]
+    monkeypatch.setattr(checks, "enumerate_ideals", lambda A, cap: iter(kept))
+    r = checks.check_intersection_is_meet(P, A, 12)
+    assert not r.passed
 
 
 def test_check_table_accepts_incidence_tables():

@@ -3,6 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 import pytest
 
+from posetalg import ideals
 from posetalg import (
     AlgebraMismatch,
     CapExceeded,
@@ -15,6 +16,7 @@ from posetalg import (
     chain,
     diamond,
     enumerate_ideals,
+    enumerate_up_sets,
     format_ideal,
     full_ideal,
     ideal_generated_by,
@@ -219,5 +221,26 @@ def test_ideal_lattice_dot_chain2():
 
 
 def test_ideal_lattice_dot_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="more than 64 ideals"):
         ideal_lattice_dot(A_of(antichain(7)), cap=64)
+
+
+def test_ideal_lattice_dot_stops_drawing_past_the_cap(monkeypatch):
+    drawn = 0
+
+    def counting(G, cap):
+        nonlocal drawn
+        for m in enumerate_up_sets(G, cap=cap):
+            drawn += 1
+            yield m
+
+    monkeypatch.setattr(ideals, "enumerate_up_sets", counting)
+    with pytest.raises(CapExceeded):
+        ideal_lattice_dot(A_of(antichain(20)))  # 2**20 ideals
+    assert drawn <= 65
+
+
+def test_ideal_lattice_dot_refuses_more_pairs_than_the_cap():
+    # s pairs give at least s + 1 ideals
+    with pytest.raises(CapExceeded, match="pair poset has 6 elements, cap is 5"):
+        ideal_lattice_dot(A_of(chain(3)), cap=5)

@@ -57,6 +57,21 @@ def test_small_exponent_coefficient_still_parses():
     assert T.entries == {(0, 0): (1000, 0)}
 
 
+@pytest.mark.parametrize("coeff", ["1e4300", "15e4299", "1e-4300"])
+def test_coefficient_that_cannot_be_written_back_is_refused(coeff):
+    # inside the exponent budget, but more digits than str() will write
+    text = '{"dim": 1, "entries": [[0, 0, "%s", 0]]}' % coeff
+    with pytest.raises(ParseError) as e:
+        MultiplicationTable.from_json_text(text)
+    assert str(e.value) == "coefficient too long to write back in [0, 0, %r, 0]" % coeff
+
+
+def test_longest_writable_coefficient_roundtrips():
+    T = MultiplicationTable.from_json_text('{"dim": 1, "entries": [[0, 0, "9e4299", 0]]}')
+    assert T.entries == {(0, 0): (9 * 10**4299, 0)}
+    assert MultiplicationTable.from_json_text(T.to_json_text()) == T
+
+
 def spellings(c):
     """JSON values that Fraction(str(value)) reads as c."""
     p, q = c.numerator, c.denominator

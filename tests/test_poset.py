@@ -1,3 +1,6 @@
+import hashlib
+from itertools import islice
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -209,6 +212,16 @@ def test_all_labeled_posets_count_n5():
     assert len(all_labeled_posets(5)) == 4231
 
 
+def test_all_labeled_posets_order_is_pinned():
+    # the exhaustive4 corpus lists its posets in this order
+    rows = [P.up for P in all_labeled_posets(4)]
+    assert rows[:2] == [(14, 12, 8, 0), (14, 12, 0, 4)]
+    assert rows[-2:] == [(0, 0, 0, 4), (0, 0, 0, 0)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "6514c44555715ea08f6a96e9ac9501163e21e2629f1906f95061b1c9d4643de6"
+    )
+
+
 # ---------------------------------------------------------------------------
 # the pair poset
 
@@ -264,6 +277,13 @@ def test_up_set_cap():
         enumerate_up_sets(G)
     assert e.value.required == 27
     assert sum(1 for _ in enumerate_up_sets(G, cap=27)) == 15936
+
+
+def test_up_set_enumeration_is_not_bounded_by_recursion_depth():
+    G = pair_poset(antichain(1200))
+    full = (1 << 1200) - 1
+    first = list(islice(enumerate_up_sets(G, cap=2000), 3))
+    assert first == [full, full & ~(1 << 1199), full & ~(1 << 1198)]
 
 
 def test_chain_up_set_counts_are_catalan():
