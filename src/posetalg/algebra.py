@@ -278,7 +278,8 @@ class MultiplicationTable:
     """Monomial structure constants: (i, j) -> (coeff, k) meaning
     b_i b_j = coeff * b_k; missing entries are zero products.  The index
     right[i][j] = left[j][i] = (coeff, k) holds the same present products,
-    keyed only by indices that occur, so its size never follows dim.
+    and landing[k] lists the keys (i, j) of those on b_k in entry order;
+    each is keyed only by indices that occur, so its size never follows dim.
 
     Associativity is settled once per table: first by certified(), which
     proves a rescaled incidence table associative in O(entries), and only
@@ -286,14 +287,16 @@ class MultiplicationTable:
     reports or finds none (the table is associative but is not a rescaled
     incidence table)."""
 
-    __slots__ = ("dim", "entries", "right", "left", "_witness", "_certified")
+    __slots__ = ("dim", "entries", "right", "left", "landing", "_witness", "_certified")
 
     def __init__(self, dim, entries):
         self.dim = dim
         self.entries = dict(entries)
         self.right = right = {}
         self.left = left = {}
-        for (i, j), hit in self.entries.items():
+        self.landing = landing = {}
+        for key, hit in self.entries.items():
+            i, j = key
             c, k = hit
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError("table entry (%d,%d)->%d out of range" % (i, j, k))
@@ -301,6 +304,7 @@ class MultiplicationTable:
                 raise ValueError("table entry (%d,%d) has zero coefficient" % (i, j))
             right.setdefault(i, {})[j] = hit
             left.setdefault(j, {})[i] = hit
+            landing.setdefault(k, []).append(key)
         self._witness = _UNCHECKED
         self._certified = None
 
@@ -350,11 +354,7 @@ class MultiplicationTable:
         dim, entries, right, left = self.dim, self.entries, self.right, self.left
         if len(left) < dim or len(right) < dim:
             return False  # an index with no product on one side is not placed
-        square = {}
-        for i, row in right.items():
-            hit = row.get(i)
-            if hit is not None and hit[1] == i:
-                square[i] = hit[0]
+        square = _quasi_idempotents(self)
         starts = [None] * dim
         ends = [None] * dim
         for q, c in square.items():
@@ -373,7 +373,7 @@ class MultiplicationTable:
             return False
         # entries with a quasi-idempotent factor were checked as they placed
         # an index; the rest are the equations s_i s_j = c s_k
-        scale = _solve_scales(entries, right, left, square, starts, ends)
+        scale = _solve_scales(self, square, starts, ends)
         num = [s.numerator for s in scale]
         den = [s.denominator for s in scale]
         for (i, j), (c, k) in entries.items():
@@ -501,7 +501,13 @@ def _coefficient(text, coeff, row):
     return c
 
 
-def _solve_scales(entries, right, left, square, starts, ends):
+def _quasi_idempotents(table):
+    """{q: c} for each index q with b_q b_q = c b_q."""
+    right = table.right
+    return {q: hit[0] for q in right if (hit := right[q].get(q)) and hit[1] == q}
+
+
+def _solve_scales(table, square, starts, ends):
     """Scales s with s_i s_j = c s_k on the entries free of quasi-idempotent
     factors, in a table whose index k is placed at (starts[k], ends[k]);
     s_q is the square coefficient of each quasi-idempotent q.  The caller
@@ -515,14 +521,11 @@ def _solve_scales(entries, right, left, square, starts, ends):
     part.  An equation that closes with some parameter to the power 1 or -1
     solves for it in terms of the others, and a parameter never solved for
     is left at 1."""
+    right, left, landing = table.right, table.left, table.landing
     dim = len(starts)
     scale = [None] * dim
     for q, c in square.items():
         scale[q] = c
-    landing = {}
-    for key, (_, k) in entries.items():
-        if key[0] not in square and key[1] not in square:
-            landing.setdefault(k, []).append(key)
     root = {q: q for q in square}
 
     def find(q):
@@ -532,7 +535,9 @@ def _solve_scales(entries, right, left, square, starts, ends):
 
     todo = []
     for k in range(dim):
-        if scale[k] is None and k not in landing:
+        # placing k checked that e_x b_k and b_k e_y are the only products
+        # with a quasi-idempotent factor that land on it
+        if scale[k] is None and len(landing[k]) == 2:
             a, b = find(starts[k]), find(ends[k])
             if a != b:
                 root[a] = b
@@ -604,7 +609,8 @@ def _solve_scales(entries, right, left, square, starts, ends):
                 if i not in square:
                     settle(i, a, c, k)
             for i, j in landing.get(a, ()):
-                settle(i, j, entries[i, j][0], a)
+                if i not in square and j not in square:
+                    settle(i, j, right[i][j][0], a)
         u = next((u for u in unknown if scale[u] is None), None)
         if u is None:
             return scale

@@ -142,14 +142,10 @@ def cmd_check(args):
     else:
         posets = [_load_poset(args.poset)]
     seeds = (args.seed, args.seed + 1)
-    order = []
-    agg = {}
+    agg = {}  # name -> [passed, skipped, failure details], in first-seen order
     for P in posets:
         for r in run_poset_checks(P, seeds=seeds, enum_cap=args.cap):
-            if r.name not in agg:
-                order.append(r.name)
-                agg[r.name] = [0, 0, []]
-            entry = agg[r.name]
+            entry = agg.setdefault(r.name, [0, 0, []])
             if not r.passed:
                 entry[2].append(r.detail)
             elif r.skipped:
@@ -157,13 +153,12 @@ def cmd_check(args):
             else:
                 entry[0] += 1
     failed_names = 0
-    for name in order:
-        n_pass, n_skip, failures = agg[name]
+    for name, (n_pass, n_skip, failures) in agg.items():
         failed_names += bool(failures)
         _print_check_line(name, n_pass, n_skip, failures)
     print(
         "summary: %d posets, %d checks, %d failed"
-        % (len(posets), len(order), failed_names)
+        % (len(posets), len(agg), failed_names)
     )
     return 1 if failed_names else 0
 

@@ -4,7 +4,8 @@ Input is a bare monomial table: no labels, no pair structure, just dim and
 entries.  Everything works at the level of index supports, which survive
 basis rescaling untouched (monomial products never cancel).  A support is a
 plain int bitmask, bit k for basis index k, and the table is read through
-its index of present products (MultiplicationTable.right and .left).
+its indexes of present products: MultiplicationTable.right and .left by
+factor, and .landing by the index each product lands on.
 
 Two independent routes:
 
@@ -32,7 +33,7 @@ suspicious input; ensure_table_shape refuses a recovered poset whose
 comparable pairs do not number dim (NoPosetBehindTable).
 """
 
-from .algebra import IncidenceAlgebra, scramble_draws
+from .algebra import IncidenceAlgebra, _quasi_idempotents, scramble_draws
 from .errors import ClosureViolation, NoPosetBehindTable, RecoveredRelationNotTransitive
 from .poset import Pair, Poset, iterbits, transitive_closure
 
@@ -40,8 +41,7 @@ from .poset import Pair, Poset, iterbits, transitive_closure
 def quasi_idempotents(table):
     """Indices i with b_i^2 = c * b_i, c != 0.  Validates associativity."""
     table.ensure_associative()
-    miss = (None, None)
-    return sorted(i for i, after in table.right.items() if after.get(i, miss)[1] == i)
+    return sorted(_quasi_idempotents(table))
 
 
 def principal_support(table, i):
@@ -101,9 +101,7 @@ def recover_by_ideal_products(table):
 
 def _link_rows(table):
     qs = quasi_idempotents(table)
-    landing = {}
-    for (a, b), (_, k) in table.entries.items():
-        landing.setdefault(k, []).append((a, b))
+    landing = table.landing
     for e in qs:
         stray = [p for p in landing[e] if p != (e, e)]
         if stray:

@@ -278,6 +278,8 @@ def test_product_index_lists_present_products_both_ways():
         1: {1: (1, 1), 2: (1, 2)},
         2: {0: (1, 2)},
     }
+    # and by the index each lands on, in entry order
+    assert T.landing == {0: [(0, 0)], 1: [(1, 1)], 2: [(0, 2), (2, 1)]}
 
 
 # ---------------------------------------------------------------------------

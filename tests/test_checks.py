@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import and_, or_
 
 from posetalg import (
     IncidenceAlgebra,
@@ -59,18 +60,33 @@ def test_maximality_catches_a_missing_maximal_ideal(monkeypatch):
     assert not r.passed and "in no maximal ideal" in r.detail
 
 
-def test_intersection_check_catches_a_missing_meet(monkeypatch):
+# antichain(6) lists every subset of its diagonal pairs; each case drops
+# the result of combining two masks that stay listed
+@pytest.mark.parametrize(
+    "check, op, dropped, kept",
+    [
+        # {[a,a],[b,b]} is {[a,a],[b,b],[c,c]} n {[a,a],[b,b],[d,d]}
+        (checks.check_intersection_is_meet, and_, 0b000011, (0b000111, 0b001011)),
+        # {[a,a],[b,b],[c,c]} is {[a,a],[b,b]} + {[a,a],[c,c]}
+        (checks.check_sum_lemma, or_, 0b000111, (0b000011, 0b000101)),
+    ],
+    ids=["meet", "sum"],
+)
+def test_intersection_check_catches_a_missing_meet(
+    monkeypatch, check, op, dropped, kept
+):
     P = antichain(6)
     A = IncidenceAlgebra(P, "reflexive")
-    assert checks.check_intersection_is_meet(P, A, 12).passed
-    # {[a,a],[b,b]} is the intersection of {[a,a],[b,b],[c,c]} and
-    # {[a,a],[b,b],[d,d]}, both still listed
+    assert check(P, A, 12).passed
     listed = list(checks.enumerate_ideals(A, cap=12))
-    assert {0b000111, 0b001011} <= {I.up_mask for I in listed}
-    kept = [I for I in listed if I.up_mask != 0b000011]
-    monkeypatch.setattr(checks, "enumerate_ideals", lambda A, cap: iter(kept))
-    r = checks.check_intersection_is_meet(P, A, 12)
+    assert set(kept) <= {I.up_mask for I in listed}
+    remaining = [I for I in listed if I.up_mask != dropped]
+    monkeypatch.setattr(checks, "enumerate_ideals", lambda A, cap: iter(remaining))
+    r = check(P, A, 12)
     assert not r.passed
+    # the witness is two listed masks that combine to the dropped one
+    m1, m2 = map(int, r.detail.rsplit(" ", 1)[1].split(","))
+    assert op(m1, m2) == dropped
 
 
 def test_check_table_accepts_incidence_tables():
