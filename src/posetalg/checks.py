@@ -21,10 +21,9 @@ from .ideals import (
     maximal_ideals,
     maximal_indecomposable_ideals,
     principal_ideal,
-    subspace_closure,
     zero_ideal,
 )
-from .oracles import brute_antichain_count
+from .oracles import brute_antichain_count, subspace_closure
 from .poset import Pair, all_labeled_posets, covers, random_poset
 from .recovery import (
     ensure_table_shape,

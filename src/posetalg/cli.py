@@ -213,6 +213,8 @@ def cmd_dims(args):
 def cmd_reduce(args):
     P = _load_poset(args.input)
     R = build_rewrite_system(P, args.triples)
+    if not args.word.split():
+        raise ParseError("--word names no element")
     word = [P.index(lbl) for lbl in args.word.split()]
     nf = reduce_word(R, word)
     if nf is None:

@@ -10,18 +10,12 @@ relational composition of pair sets.  Indecomposable ideals are the principal
 up-sets; the maximal indecomposable ones sit over the diagonal pairs; maximal
 ideals drop a single diagonal pair.
 
-subspace_closure is the independent oracle: it knows nothing about up-sets
-and simply closes a rational span under multiplication by all generators,
-with exact row reduction.  The invariant tests lean on it.
-
 Irreflexive-convention algebras are out of scope here: without the diagonal
 pairs the up-set description does not apply, and the constructors refuse.
 """
 
-from fractions import Fraction
 from itertools import islice
 
-from .algebra import AlgebraElement
 from .errors import AlgebraMismatch, CapExceeded, ConventionError
 from .poset import Pair, enumerate_up_sets, iterbits
 
@@ -189,115 +183,6 @@ def enumerate_ideals(A, cap=20):
     _require_reflexive(A)
     masks = enumerate_up_sets(A.pair_poset(), cap=cap)
     return (Ideal(A, m) for m in masks)
-
-
-# ---------------------------------------------------------------------------
-# the subspace oracle
-
-
-class Subspace:
-    """Rational subspace in reduced row-echelon form over generator
-    coordinates.  Equal subspaces have identical bases."""
-
-    __slots__ = ("algebra", "rows")
-
-    def __init__(self, algebra, rows):
-        self.algebra = algebra
-        self.rows = rows  # pivot index -> {gen index: Fraction}, fully reduced
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def basis(self):
-        return [
-            AlgebraElement(self.algebra, dict(self.rows[p])) for p in sorted(self.rows)
-        ]
-
-    def reduce(self, coeffs):
-        """Residue of a coefficient dict after eliminating all pivots."""
-        vec = dict(coeffs)
-        for p in sorted(self.rows):
-            c = vec.get(p)
-            if not c:
-                continue
-            row = self.rows[p]
-            for i, v in row.items():
-                s = vec.get(i, Fraction(0)) - c * v
-                if s:
-                    vec[i] = s
-                else:
-                    vec.pop(i, None)
-        return vec
-
-    def contains(self, f):
-        self.algebra._claim(f)
-        return not self.reduce(f.coeffs)
-
-    def _insert(self, coeffs):
-        """Grow the span by one vector; returns the residue row or None."""
-        vec = self.reduce(coeffs)
-        if not vec:
-            return None
-        pivot = min(vec)
-        inv = Fraction(1) / vec[pivot]
-        vec = {i: c * inv for i, c in vec.items()}
-        for p, row in self.rows.items():
-            c = row.get(pivot)
-            if not c:
-                continue
-            for i, v in vec.items():
-                s = row.get(i, Fraction(0)) - c * v
-                if s:
-                    row[i] = s
-                else:
-                    row.pop(i, None)
-        self.rows[pivot] = vec
-        return vec
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.algebra.same_algebra(other.algebra)
-            and self.rows == other.rows
-        )
-
-    def __repr__(self):
-        return "<Subspace dim=%d of %d>" % (self.dim, self.algebra.dim)
-
-
-def span_of(A, elems):
-    """Plain linear span (no multiplicative closure)."""
-    S = Subspace(A, {})
-    for f in elems:
-        A._claim(f)
-        S._insert(f.coeffs)
-    return S
-
-
-def subspace_closure(A, elems):
-    """Smallest subspace containing elems and closed under left and right
-    multiplication by every generator.  Oracle for the ideal calculus; it
-    iterates products into an exact echelon basis until nothing new shows up.
-    """
-    S = Subspace(A, {})
-    queue = []
-    for f in elems:
-        A._claim(f)
-        added = S._insert(f.coeffs)
-        if added is not None:
-            queue.append(added)
-    gens = [A.generator(i) for i in range(A.dim)]
-    while queue:
-        row = queue.pop()
-        f = AlgebraElement(A, dict(row))
-        for g in gens:
-            for prod in (A.multiply(g, f), A.multiply(f, g)):
-                if prod.coeffs:
-                    added = S._insert(prod.coeffs)
-                    if added is not None:
-                        queue.append(added)
-    return S
 
 
 # ---------------------------------------------------------------------------

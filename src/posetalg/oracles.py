@@ -9,8 +9,10 @@ of present products, and rescan that dict wherever a definition quantifies
 over products.
 """
 
+from fractions import Fraction
 from itertools import permutations, product as _cartesian
 
+from .algebra import AlgebraElement
 from .errors import (
     ClosureViolation,
     NotAssociative,
@@ -118,6 +120,60 @@ def brute_dimension_up_to(R, max_degree):
     return counts
 
 
+def brute_normal_forms(R, word, memo):
+    got = memo.get(word)
+    if got is not None:
+        return got
+    # at one position both a 2- and a 3-rule can in principle fire; try both
+    options = []
+    for p in range(len(word)):
+        for lhs in (tuple(word[p : p + 2]), tuple(word[p : p + 3])):
+            if len(lhs) >= 2 and lhs in R.rules:
+                options.append((p, lhs))
+    if not options:
+        result = frozenset([word])
+    else:
+        acc = set()
+        for p, lhs in options:
+            rhs = R.rules[lhs]
+            if rhs is None:
+                acc.add(None)
+            else:
+                nxt = word[:p] + rhs + word[p + len(lhs) :]
+                acc |= brute_normal_forms(R, nxt, memo)
+        result = frozenset(acc)
+    memo[word] = result
+    return result
+
+
+def brute_confluence_witnesses(R, max_len=5):
+    """Words of length <= max_len whose normal form depends on the rewrite
+    order, each with its full set of normal forms.  Empty list: no
+    strategy dependence found at this scale.  Refused with SizeLimitExceeded,
+    before any word is reduced, when there are more than _WORD_LIMIT
+    such words."""
+    n = R.poset.n
+    words = 0
+    for d in range(1, max_len + 1):
+        words += n ** d
+        if words > _WORD_LIMIT:
+            raise SizeLimitExceeded(
+                "confluence probe limited to %d words; %d letters up to length "
+                "%d is more" % (_WORD_LIMIT, n, max_len)
+            )
+    witnesses = []
+    memo = {}
+    letters = range(n)
+    for d in range(1, max_len + 1):
+        for word in _cartesian(letters, repeat=d):
+            forms = brute_normal_forms(R, word, memo)
+            if len(forms) > 1:
+                witnesses.append(
+                    (word, sorted(forms, key=lambda t: (t is not None, t)))
+                )
+    return witnesses
+
+
 def matrix_product(a, b):
     """Dense textbook matrix multiplication over Fractions."""
     n = len(a)
@@ -144,6 +200,115 @@ def element_product_via_matrices(f, g):
             key = A.index[Pair(x, y)]
             coeffs[key] = c
     return A.element(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the subspace oracle
+
+
+class Subspace:
+    """Rational subspace in reduced row-echelon form over generator
+    coordinates.  Equal subspaces have identical bases."""
+
+    __slots__ = ("algebra", "rows")
+
+    def __init__(self, algebra, rows):
+        self.algebra = algebra
+        self.rows = rows  # pivot index -> {gen index: Fraction}, fully reduced
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def basis(self):
+        return [
+            AlgebraElement(self.algebra, dict(self.rows[p])) for p in sorted(self.rows)
+        ]
+
+    def reduce(self, coeffs):
+        """Residue of a coefficient dict after eliminating all pivots."""
+        vec = dict(coeffs)
+        for p in sorted(self.rows):
+            c = vec.get(p)
+            if not c:
+                continue
+            row = self.rows[p]
+            for i, v in row.items():
+                s = vec.get(i, Fraction(0)) - c * v
+                if s:
+                    vec[i] = s
+                else:
+                    vec.pop(i, None)
+        return vec
+
+    def contains(self, f):
+        self.algebra._claim(f)
+        return not self.reduce(f.coeffs)
+
+    def _insert(self, coeffs):
+        """Grow the span by one vector; returns the residue row or None."""
+        vec = self.reduce(coeffs)
+        if not vec:
+            return None
+        pivot = min(vec)
+        inv = Fraction(1) / vec[pivot]
+        vec = {i: c * inv for i, c in vec.items()}
+        for p, row in self.rows.items():
+            c = row.get(pivot)
+            if not c:
+                continue
+            for i, v in vec.items():
+                s = row.get(i, Fraction(0)) - c * v
+                if s:
+                    row[i] = s
+                else:
+                    row.pop(i, None)
+        self.rows[pivot] = vec
+        return vec
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Subspace)
+            and self.algebra.same_algebra(other.algebra)
+            and self.rows == other.rows
+        )
+
+    def __repr__(self):
+        return "<Subspace dim=%d of %d>" % (self.dim, self.algebra.dim)
+
+
+def span_of(A, elems):
+    """Plain linear span (no multiplicative closure)."""
+    S = Subspace(A, {})
+    for f in elems:
+        A._claim(f)
+        S._insert(f.coeffs)
+    return S
+
+
+def subspace_closure(A, elems):
+    """Smallest subspace containing elems and closed under left and right
+    multiplication by every generator.  Oracle for the ideal calculus; it
+    iterates products into an exact echelon basis until nothing new shows up.
+    """
+    S = Subspace(A, {})
+    queue = []
+    for f in elems:
+        A._claim(f)
+        added = S._insert(f.coeffs)
+        if added is not None:
+            queue.append(added)
+    gens = [A.generator(i) for i in range(A.dim)]
+    while queue:
+        row = queue.pop()
+        f = AlgebraElement(A, dict(row))
+        for g in gens:
+            for prod in (A.multiply(g, f), A.multiply(f, g)):
+                if prod.coeffs:
+                    added = S._insert(prod.coeffs)
+                    if added is not None:
+                        queue.append(added)
+    return S
 
 
 # ---------------------------------------------------------------------------

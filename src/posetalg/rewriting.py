@@ -13,10 +13,10 @@ default) reads <= reflexively, so a a b -> a b and a a a -> a a are rules;
 
 Reduction runs a fixed strategy, leftmost position first and shorter left
 side first, to a fixpoint.  Every rule shortens or kills the word, so this
-terminates; whether the normal form is strategy-independent is exactly what
-confluence_probe measures, by exploring every redex choice and reporting
-words with more than one normal form.  Dimension counts are evidence about
-specific posets and degrees, nothing more.
+terminates, and by Newman's lemma the normal form is strategy-independent
+exactly when every critical pair joins (Knuth and Bendix): confluence_probe
+tests the overlap words of two left sides, oracles.brute_confluence_witnesses
+every word.  Dimension counts are evidence about posets and degrees, no more.
 
 The dimensions are counted, not enumerated.  Reduction stops only when no 2-
 or 3-letter window is a left side, so every normal form is irreducible, and
@@ -35,14 +35,10 @@ chain(2) the normal forms are the words a^i b^j, and the dimensions grow as
 d(d+3)/2.  Even 'allow_repeats' grows on antichain(2): 2, 6, 10, 14, 18, 22.
 """
 
-from itertools import product as _cartesian
-
-from .errors import SizeLimitExceeded, WordLengthExceeded
+from .errors import WordLengthExceeded
 
 MAX_WORD_LEN = 12
 MAX_PROBE_DEGREE = 32
-# words confluence_probe may enumerate, at a few microseconds each
-MAX_PROBE_WORDS = 10 ** 5
 
 
 class RewriteSystem:
@@ -185,55 +181,29 @@ def dimension_up_to(R, max_degree):
     return counts
 
 
-def _all_normal_forms(R, word, memo):
-    got = memo.get(word)
-    if got is not None:
-        return got
-    # at one position both a 2- and a 3-rule can in principle fire; try both
-    options = []
-    for p in range(len(word)):
-        for lhs in (tuple(word[p : p + 2]), tuple(word[p : p + 3])):
-            if len(lhs) >= 2 and lhs in R.rules:
-                options.append((p, lhs))
-    if not options:
-        result = frozenset([word])
-    else:
-        acc = set()
-        for p, lhs in options:
-            rhs = R.rules[lhs]
-            if rhs is None:
-                acc.add(None)
-            else:
-                nxt = word[:p] + rhs + word[p + len(lhs) :]
-                acc |= _all_normal_forms(R, nxt, memo)
-        result = frozenset(acc)
-    memo[word] = result
-    return result
+def _rewrite_at(R, w, p, lhs):
+    rhs = R.rules[lhs]
+    return None if rhs is None else reduce_word(R, w[:p] + rhs + w[p + len(lhs) :])
 
 
-def confluence_probe(R, max_len=5):
-    """Words of length <= max_len whose normal form depends on the rewrite
-    order, each with its full set of normal forms.  Empty list: no
-    strategy dependence found at this scale.  Refused with SizeLimitExceeded,
-    before any word is reduced, when there are more than MAX_PROBE_WORDS
-    such words."""
-    n = R.poset.n
-    words = 0
-    for d in range(1, max_len + 1):
-        words += n ** d
-        if words > MAX_PROBE_WORDS:
-            raise SizeLimitExceeded(
-                "confluence probe limited to %d words; %d letters up to length "
-                "%d is more" % (MAX_PROBE_WORDS, n, max_len)
-            )
-    witnesses = []
-    memo = {}
-    letters = range(n)
-    for d in range(1, max_len + 1):
-        for word in _cartesian(letters, repeat=d):
-            forms = _all_normal_forms(R, word, memo)
-            if len(forms) > 1:
-                witnesses.append(
-                    (word, sorted(forms, key=lambda t: (t is not None, t)))
-                )
-    return witnesses
+def confluence_probe(R):
+    """Overlap words of two left sides whose two rewrites reach different
+    normal forms, with the forms sorted (zero, None, first); empty exactly when
+    R is confluent.  A rule that does not shorten its word is a ValueError."""
+    by_first = {}
+    for lhs, rhs in R.rules.items():
+        if rhs is not None and len(rhs) >= len(lhs):
+            raise ValueError("rule %r -> %r does not shorten its word" % (lhs, rhs))
+        by_first.setdefault(lhs[0], []).append(lhs)
+    found = {}
+    for l1 in R.rules:
+        for p, letter in enumerate(l1):
+            for l2 in by_first.get(letter, ()):
+                # l1, then the letters of l2 that run past its end
+                word = l1 + l2[len(l1) - p :]
+                if (p == 0 and l2 == l1) or word[p : p + len(l2)] != l2:
+                    continue
+                forms = {_rewrite_at(R, word, 0, l1), _rewrite_at(R, word, p, l2)}
+                if len(forms) > 1:
+                    found.setdefault(word, set()).update(forms)
+    return [(w, sorted(f, key=lambda t: (t is not None, t))) for w, f in found.items()]

@@ -234,7 +234,7 @@ def test_criterion_8_presented_algebra_probe():
             problems.append("%s: expected 6 degrees" % convention)
         if not all(a <= b for a, b in zip(dims, dims[1:])):
             problems.append("%s: dimensions not monotone %r" % (convention, dims))
-        for word, forms in confluence_probe(R, 5):
+        for word, forms in confluence_probe(R):
             findings.append((convention, word, forms))
     # allow_repeats: normal forms a, b, aa, ab, bb, stable from degree 2
     dims = seqs["allow_repeats"]

@@ -137,9 +137,11 @@ def test_reduce_output(capsys, chain3_file):
     assert (code, out) == (0, "0\n")
 
 
-def test_reduce_unknown_label_exits_2(capsys, chain3_file):
-    code, _, err = run(capsys, "reduce", "--input", chain3_file, "--word", "a z")
+@pytest.mark.parametrize("word", ["a z", ""], ids=["unknown", "empty"])
+def test_reduce_unknown_label_exits_2(capsys, chain3_file, word):
+    code, out, err = run(capsys, "reduce", "--input", chain3_file, "--word", word)
     assert code == 2
+    assert out == ""
     assert "error:" in err
 
 

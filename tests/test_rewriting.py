@@ -15,7 +15,12 @@ from posetalg import (
     dimension_up_to,
     reduce_word,
 )
-from posetalg.oracles import brute_dimension_up_to
+from posetalg.oracles import (
+    brute_confluence_witnesses,
+    brute_dimension_up_to,
+    brute_normal_forms,
+)
+from posetalg.rewriting import RewriteSystem
 
 
 def test_rule_set_chain2_allow_repeats():
@@ -145,11 +150,9 @@ def test_reduction_is_a_fixpoint(word):
 def test_all_strategies_reach_the_same_form(word):
     # chain(3) under both conventions is confluent on short words, so the
     # leftmost strategy must agree with every other reduction order
-    from posetalg.rewriting import _all_normal_forms
-
     for conv in ("allow_repeats", "distinct_only"):
         R = build_rewrite_system(chain(3), conv)
-        forms = _all_normal_forms(R, word, {})
+        forms = brute_normal_forms(R, word, {})
         assert forms == {reduce_word(R, word)}
 
 
@@ -157,14 +160,54 @@ def test_confluence_probe_is_quiet_on_small_posets():
     for P in (chain(2), chain(3), diamond(), antichain(2)):
         for conv in ("allow_repeats", "distinct_only"):
             R = build_rewrite_system(P, conv)
-            assert confluence_probe(R, 5) == []
+            assert confluence_probe(R) == []
+
+
+@pytest.mark.parametrize("conv", ["allow_repeats", "distinct_only"])
+def test_confluence_probe_decides_chain12(conv):
+    # 12 letters up to length 5 are 271,452 words, past the enumeration's
+    # budget; the critical pairs are overlap words of at most 5 letters
+    assert confluence_probe(build_rewrite_system(chain(12), conv)) == []
+
+
+def test_confluence_probe_matches_the_enumeration_oracle(random7):
+    for P in random7:
+        if P.n > 5:
+            continue
+        for conv in ("allow_repeats", "distinct_only"):
+            R = build_rewrite_system(P, conv)
+            assert confluence_probe(R) == [] == brute_confluence_witnesses(R, 5)
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        {(0, 1): (0,), (1, 2): (1,)},
+        {(0, 1): None, (1, 2): (2,)},
+        {(0, 1, 2): (0,), (1, 2): (1,)},
+    ],
+)
+def test_confluence_probe_witnesses_are_oracle_witnesses(rules):
+    R = RewriteSystem(chain(3), "allow_repeats", rules)
+    found = confluence_probe(R)
+    assert found
+    oracle = dict(brute_confluence_witnesses(R, 5))
+    for word, forms in found:
+        assert word in oracle
+        assert set(forms) <= set(oracle[word])
+
+
+def test_confluence_probe_refuses_a_rule_that_does_not_shorten():
+    R = RewriteSystem(chain(2), "allow_repeats", {(0, 1): (1, 0)})
+    with pytest.raises(ValueError):
+        confluence_probe(R)
 
 
 def test_confluence_probe_refuses_past_its_word_budget():
-    # 5 + 25 + ... + 5^8 = 488,280 words, above the 10^5 budget
+    # 5 + 25 + ... + 5^8 = 488,280 words, above the oracle's 10^5 budget
     R = build_rewrite_system(chain(5), "allow_repeats")
     with pytest.raises(SizeLimitExceeded):
-        confluence_probe(R, 8)
+        brute_confluence_witnesses(R, 8)
 
 
 def test_monotone_dimensions():
