@@ -17,6 +17,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import count
+from math import gcd
 
 from . import poset as _poset
 from .errors import (
@@ -189,7 +190,7 @@ class IncidenceAlgebra:
             # x <= y <= v gives x <= v, strict when y < v
             for j, v in by_first[y]:
                 entries[(i, j)] = (one, index[Pair(x, v)])
-        return MultiplicationTable(self.dim, entries)
+        return MultiplicationTable._checked(self.dim, entries)
 
     def nilpotency_index(self):
         """Smallest k with every k-fold generator product zero; None if unital."""
@@ -280,33 +281,47 @@ class MultiplicationTable:
     right[i][j] = left[j][i] = (coeff, k) holds the same present products,
     and landing[k] lists the keys (i, j) of those on b_k in entry order;
     each is keyed only by indices that occur, so its size never follows dim.
+    The constructor copies and checks the entries; from_json_text and
+    multiplication_table, whose rows are valid as made, skip both.
 
     Associativity is settled once per table: first by certified(), which
-    proves a rescaled incidence table associative in O(entries), and only
-    when that fails by the triple scan, which finds the witness a refusal
-    reports or finds none (the table is associative but is not a rescaled
-    incidence table)."""
+    proves a rescaled incidence table associative in O(entries) with scales
+    solved as lowest-terms integer pairs, and only when that fails by the
+    triple scan, which finds the witness a refusal reports or finds none
+    (the table is associative but is not a rescaled incidence table)."""
 
-    __slots__ = ("dim", "entries", "right", "left", "landing", "_witness", "_certified")
+    __slots__ = ("dim", "entries", "right", "left", "landing",
+                 "_witness", "_certified", "_square")
 
     def __init__(self, dim, entries):
-        self.dim = dim
-        self.entries = dict(entries)
-        self.right = right = {}
-        self.left = left = {}
-        self.landing = landing = {}
-        for key, hit in self.entries.items():
-            i, j = key
-            c, k = hit
+        entries = dict(entries)
+        for (i, j), (c, k) in entries.items():
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError("table entry (%d,%d)->%d out of range" % (i, j, k))
             if not c:
                 raise ValueError("table entry (%d,%d) has zero coefficient" % (i, j))
+        self._index(dim, entries)
+
+    @classmethod
+    def _checked(cls, dim, entries):
+        table = cls.__new__(cls)  # of entries valid as made, not copied
+        table._index(dim, entries)
+        return table
+
+    def _index(self, dim, entries):
+        self.dim = dim
+        self.entries = entries
+        self.right = right = {}
+        self.left = left = {}
+        self.landing = landing = {}
+        for key, hit in entries.items():
+            i, j = key
             right.setdefault(i, {})[j] = hit
             left.setdefault(j, {})[i] = hit
-            landing.setdefault(k, []).append(key)
+            landing.setdefault(hit[1], []).append(key)
         self._witness = _UNCHECKED
         self._certified = None
+        self._square = None
 
     def __eq__(self, other):
         return (
@@ -373,9 +388,7 @@ class MultiplicationTable:
             return False
         # entries with a quasi-idempotent factor were checked as they placed
         # an index; the rest are the equations s_i s_j = c s_k
-        scale = _solve_scales(self, square, starts, ends)
-        num = [s.numerator for s in scale]
-        den = [s.denominator for s in scale]
+        num, den = _solve_scales(self, square, starts, ends)
         for (i, j), (c, k) in entries.items():
             if i in square or j in square:
                 continue
@@ -478,7 +491,7 @@ class MultiplicationTable:
             if (i, j) in entries:
                 raise NotMonomial("duplicate entry for product (%d, %d)" % (i, j))
             entries[(i, j)] = (c, k)
-        return cls(dim, entries)
+        return cls._checked(dim, entries)
 
 
 def _coefficient(text, coeff, row):
@@ -502,30 +515,37 @@ def _coefficient(text, coeff, row):
 
 
 def _quasi_idempotents(table):
-    """{q: c} for each index q with b_q b_q = c b_q."""
-    right = table.right
-    return {q: hit[0] for q in right if (hit := right[q].get(q)) and hit[1] == q}
+    """{q: c} for each q with b_q b_q = c b_q, kept: callers must not mutate it."""
+    if table._square is None:
+        right = table.right
+        table._square = {
+            q: hit[0] for q in right if (hit := right[q].get(q)) and hit[1] == q
+        }
+    return table._square
 
 
 def _solve_scales(table, square, starts, ends):
     """Scales s with s_i s_j = c s_k on the entries free of quasi-idempotent
     factors, in a table whose index k is placed at (starts[k], ends[k]);
-    s_q is the square coefficient of each quasi-idempotent q.  The caller
-    checks every entry against the result.
+    s_q is the square coefficient of each quasi-idempotent q, and s_u is
+    num[u] / den[u] in lowest terms with den[u] > 0.  The caller checks
+    every entry against the result.
 
     An index that no such entry reaches is a cover.  The covers of a
     spanning forest of the undirected cover graph are set to 1, which a
     rescaling of the basis can always arrange, and every equation with two
-    known scales then gives the third.  When that stalls, the first unknown
-    scale becomes a parameter t, carried as exponents beside the rational
-    part.  An equation that closes with some parameter to the power 1 or -1
-    solves for it in terms of the others, and a parameter never solved for
-    is left at 1."""
+    known scales then gives the third (a cross-multiplication and a gcd).
+    When that stalls, the first unknown scale becomes a parameter t,
+    carried as exponents beside the rational part.  An equation that closes
+    with some parameter to the power 1 or -1 solves for it in terms of the
+    others, and a parameter never solved for is left at 1.  Propagation
+    stops once every scale is known and no parameter is open."""
     right, left, landing = table.right, table.left, table.landing
     dim = len(starts)
-    scale = [None] * dim
+    num = [None] * dim
+    den = [1] * dim
     for q, c in square.items():
-        scale[q] = c
+        num[q], den[q] = c.numerator, c.denominator
     root = {q: q for q in square}
 
     def find(q):
@@ -537,12 +557,13 @@ def _solve_scales(table, square, starts, ends):
     for k in range(dim):
         # placing k checked that e_x b_k and b_k e_y are the only products
         # with a quasi-idempotent factor that land on it
-        if scale[k] is None and len(landing[k]) == 2:
+        if num[k] is None and len(landing[k]) == 2:
             a, b = find(starts[k]), find(ends[k])
             if a != b:
                 root[a] = b
-                scale[k] = Fraction(1)
+                num[k] = 1
                 todo.append(k)
+    missing = num.count(None)
     exponents = {}  # index -> {parameter: power} while its scale has one
     mentions = {}  # parameter -> the indices whose exponents name it
     none = {}
@@ -554,10 +575,16 @@ def _solve_scales(table, square, starts, ends):
                 out[p] = out.get(p, 0) + sign * power
         return {p: power for p, power in out.items() if power}
 
-    def learn(u, value, *signed):
-        scale[u] = value
+    def store(u, n, d):  # s_u = n / d in lowest terms with den[u] > 0
+        g = gcd(n, d) if d > 0 else -gcd(n, d)
+        num[u], den[u] = n // g, d // g
+
+    def learn(u, n, d, a, b, sign):
+        nonlocal missing
+        store(u, n, d)
+        missing -= 1
         todo.append(u)
-        e = power_sum(*signed) if exponents else none
+        e = power_sum((a, 1), (b, sign)) if exponents else none
         if e:
             exponents[u] = e
             for p in e:
@@ -569,14 +596,17 @@ def _solve_scales(table, square, starts, ends):
         if p is None:
             return  # nothing to pin here; the caller's sweep judges
         sign = e.pop(p)
-        # t_p = t * (the product of t_q ** (-sign * e[q]) over the others)
-        t = (c * scale[k] / (scale[i] * scale[j])) ** sign
+        # t_p = t * (the product of t_q ** (-sign * e[q]) over the others),
+        # t = (c s_k / (s_i s_j)) ** sign = (tn / td) ** sign
+        tn = c.numerator * num[k] * den[i] * den[j]
+        td = c.denominator * den[k] * num[i] * num[j]
         for m in mentions.pop(p):
             rest = exponents.get(m, none)
             power = rest.pop(p, 0)
             if not power:
                 continue  # a stale mention: that power has cancelled
-            scale[m] *= t ** power
+            n, d = (tn, td) if sign * power > 0 else (td, tn)
+            store(m, num[m] * n ** abs(power), den[m] * d ** abs(power))
             for q, f in e.items():
                 rest[q] = rest.get(q, 0) - sign * f * power
                 mentions[q].add(m)
@@ -585,22 +615,22 @@ def _solve_scales(table, square, starts, ends):
                 del exponents[m]
 
     def settle(i, j, c, k):
-        si, sj, sk = scale[i], scale[j], scale[k]
-        if sk is None:
-            if si is not None and sj is not None:
-                learn(k, si * sj / c, (i, 1), (j, 1))
-        elif si is None:
-            if sj is not None:
-                learn(i, c * sk / sj, (k, 1), (j, -1))
-        elif sj is None:
-            learn(j, c * sk / si, (k, 1), (i, -1))
+        ni, nj, nk = num[i], num[j], num[k]
+        if nk is None:
+            if ni is not None and nj is not None:  # s_k = s_i s_j / c
+                learn(k, ni * nj * c.denominator, den[i] * den[j] * c.numerator, i, j, 1)
+        elif ni is None:
+            if nj is not None:  # s_i = c s_k / s_j
+                learn(i, c.numerator * nk * den[j], c.denominator * den[k] * nj, k, j, -1)
+        elif nj is None:
+            learn(j, c.numerator * nk * den[i], c.denominator * den[k] * ni, k, i, -1)
         elif exponents:
             pin(i, j, c, k)
 
     unknown = iter(range(dim))
     fresh = count()
     while True:
-        while todo:
+        while todo and (missing or exponents):
             a = todo.pop()
             for j, (c, k) in right[a].items():
                 if j not in square:
@@ -611,11 +641,12 @@ def _solve_scales(table, square, starts, ends):
             for i, j in landing.get(a, ()):
                 if i not in square and j not in square:
                     settle(i, j, right[i][j][0], a)
-        u = next((u for u in unknown if scale[u] is None), None)
-        if u is None:
-            return scale
+        if not missing:
+            return num, den
+        u = next(u for u in unknown if num[u] is None)
         p = next(fresh)
-        scale[u] = Fraction(1)
+        num[u] = 1
+        missing -= 1
         exponents[u] = {p: 1}
         mentions[p] = {u}
         todo.append(u)

@@ -43,14 +43,17 @@ MAX_PROBE_DEGREE = 32
 
 class RewriteSystem:
     """Rule set for one poset and triple convention.  Rules map a left side
-    (tuple of element indices) to a shorter tuple or None for zero."""
+    (tuple of element indices) to a shorter tuple or None for zero.  A left
+    side must have 2 or 3 letters, the only windows reduction matches."""
 
     __slots__ = ("poset", "triple_convention", "rules")
 
     def __init__(self, poset, triple_convention, rules):
-        self.poset = poset
-        self.triple_convention = triple_convention
-        self.rules = dict(rules)
+        rules = dict(rules)
+        for lhs in rules:
+            if len(lhs) not in (2, 3):
+                raise ValueError("left side %r is not 2 or 3 letters" % (lhs,))
+        self.poset, self.triple_convention, self.rules = poset, triple_convention, rules
 
     def sorted_rules(self):
         return sorted(self.rules.items(), key=lambda kv: (len(kv[0]), kv[0]))

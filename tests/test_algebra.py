@@ -298,6 +298,9 @@ def test_permuted_rescaled_validation():
         T.permuted_rescaled([0, 0, 1], [Fraction(1)] * 3)
     with pytest.raises(ValueError):
         T.permuted_rescaled([0, 1, 2], [Fraction(0)] * 3)
+    # nonzero float scales whose product underflows to a zero coefficient
+    with pytest.raises(ValueError):
+        T.permuted_rescaled([0, 1, 2], [1e-200] * 3)
 
 
 def test_scramble_is_deterministic_and_seed_sensitive():

@@ -203,6 +203,13 @@ def test_confluence_probe_refuses_a_rule_that_does_not_shorten():
         confluence_probe(R)
 
 
+@pytest.mark.parametrize("rules", [{(0, 1, 2, 0): None}, {(1,): None}])
+def test_rewrite_system_refuses_a_left_side_reduction_never_matches(rules):
+    # reduce_word reads only 2- and 3-letter windows
+    with pytest.raises(ValueError):
+        RewriteSystem(chain(3), "allow_repeats", rules)
+
+
 def test_confluence_probe_refuses_past_its_word_budget():
     # 5 + 25 + ... + 5^8 = 488,280 words, above the oracle's 10^5 budget
     R = build_rewrite_system(chain(5), "allow_repeats")

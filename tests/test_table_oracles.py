@@ -2,6 +2,7 @@
 oracles.py: same results, same witnesses, same exception types."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from posetalg import (
     recovered_links,
     scramble,
 )
+from posetalg.algebra import _quasi_idempotents, _solve_scales
 from posetalg.oracles import (
     brute_associativity_witness,
     brute_maximal_supports,
@@ -239,3 +241,77 @@ def test_twisted_sphere_table_is_not_certified_but_associative():
         T = scramble(MultiplicationTable(A.dim, entries), seed)
         assert not T.certified()
         assert T.associativity_witness() is None
+
+
+# ---------------------------------------------------------------------------
+# the scale solver, the parsed index and the quasi-idempotents kept on a table
+
+
+def solved_scales(T):
+    """_solve_scales on a certified table, each index placed at the
+    quasi-idempotents with a product on it."""
+    square = _quasi_idempotents(T)
+    starts, ends = [None] * T.dim, [None] * T.dim
+    for q in square:
+        for j in T.right[q]:
+            starts[j] = q
+        for i in T.left[q]:
+            ends[i] = q
+    return square, _solve_scales(T, square, starts, ends)
+
+
+def test_solved_scales_are_lowest_terms_ints_that_fit_every_equation(corpus_tables):
+    tables = [scramble(T, seed) for T in corpus_tables for seed in (1, 2, 3)]
+    chain12 = IncidenceAlgebra(chain(12), "reflexive").multiplication_table()
+    tables += [scramble(chain12, seed) for seed in (1, 2, 3)]
+    # 18, 22, 198 and 225 stall the propagation, as in
+    # test_stalled_scales_are_solved_for
+    P = random_poset(40, 0.1, 3)
+    T = IncidenceAlgebra(P, "reflexive").multiplication_table()
+    tables += [scramble(T, seed) for seed in (1, 2, 3, 18, 22, 198, 225)]
+    # here the last unknown scale is learned before any equation that solves
+    # for the stall's parameter is visited, so propagation must go on
+    P = random_poset(17, 0.2, 713152)
+    T = IncidenceAlgebra(P, "reflexive").multiplication_table()
+    tables.append(scramble(T, 33))
+    for T in tables:
+        assert T.certified()
+        square, (num, den) = solved_scales(T)
+        for u in range(T.dim):
+            assert type(num[u]) is int and type(den[u]) is int
+            assert den[u] > 0 and gcd(num[u], den[u]) == 1
+        for (i, j), (c, k) in T.entries.items():
+            if i not in square and j not in square:
+                s = [Fraction(num[u], den[u]) for u in (i, j, k)]
+                assert c * s[2] == s[0] * s[1], (i, j, k)
+
+
+def layout(T):
+    """T's entries and indexes, with the order of every dict and list."""
+
+    def rows(index):
+        return [(a, list(row.items())) for a, row in index.items()]
+
+    return (
+        T.dim,
+        list(T.entries.items()),
+        rows(T.right),
+        rows(T.left),
+        list(T.landing.items()),
+    )
+
+
+def test_parsed_tables_are_indexed_as_constructed_ones(corpus_tables):
+    tables = [scramble(T, seed) for seed, T in enumerate(corpus_tables, start=1)]
+    T = tables[-1]
+    tables += [edited(T, sorted(T.entries)[1], "drop"), c2_group_table()]
+    for T in tables:
+        parsed = MultiplicationTable.from_json_text(T.to_json_text())
+        # the rows of the text are the entries in sorted order
+        built = MultiplicationTable(T.dim, dict(sorted(T.entries.items())))
+        assert layout(parsed) == layout(built)
+
+
+def test_quasi_idempotents_are_found_once_per_table():
+    T = scramble(IncidenceAlgebra(chain(4), "reflexive").multiplication_table(), 1)
+    assert _quasi_idempotents(T) is _quasi_idempotents(T)
