@@ -12,6 +12,7 @@ endpoints.  PairPoset (the poset of comparable pairs under nesting) and the
 algebra generator lists both follow it, so indices line up across modules.
 """
 
+import re
 from typing import NamedTuple
 
 from .errors import (
@@ -25,6 +26,8 @@ from .errors import (
 from .rng import LCG
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+# \s matches exactly the characters for which str.isspace() is true
+_BAD_LABEL_CHAR = re.compile(r"[\s<#]")
 
 
 def iterbits(mask):
@@ -38,7 +41,7 @@ def iterbits(mask):
 def _check_label(label):
     if not isinstance(label, str) or not label:
         raise ValueError("labels must be nonempty strings, got %r" % (label,))
-    if any(c.isspace() for c in label) or "<" in label or "#" in label:
+    if _BAD_LABEL_CHAR.search(label):
         raise ValueError("label %r contains whitespace, '<' or '#'" % (label,))
 
 
@@ -68,18 +71,17 @@ class Poset:
                 raise ValueError("relation row %d mentions elements out of range" % x)
             if up[x] >> x & 1:
                 raise CycleDetected("element %r is strictly below itself" % labels[x])
+        down = [0] * n
         for x in range(n):
+            bit = 1 << x
             for y in iterbits(up[x]):
-                if up[y] >> x & 1:
+                if up[y] & bit:
                     raise CycleDetected(
                         "%r and %r are strictly below each other" % (labels[x], labels[y])
                     )
                 if up[y] & ~up[x]:
                     raise ValueError("relation is not transitively closed")
-        down = [0] * n
-        for x in range(n):
-            for y in iterbits(up[x]):
-                down[y] |= 1 << x
+                down[y] |= bit
         self.n = n
         self.labels = labels
         self.up = up

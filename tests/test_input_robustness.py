@@ -98,7 +98,8 @@ def test_respelled_coefficients_parse_as_written(P, seed, data):
 
 # the first rows spell "1/2" twice and then the JSON number 1, so a failing
 # row whose coefficient is "1/2", or true (which hashes like 1), meets a
-# value that has been read before
+# value that has been read before, in its own table and in a table parsed
+# earlier
 @pytest.mark.parametrize(
     "row, error, message",
     [
@@ -119,7 +120,9 @@ def test_respelled_coefficients_parse_as_written(P, seed, data):
     ],
 )
 def test_repeated_coefficient_does_not_mask_later_errors(row, error, message):
-    rows = [[0, 0, "1/2", 0], [0, 1, "1/2", 1], [1, 0, 1, 0], row]
+    first = [[0, 0, "1/2", 0], [0, 1, "1/2", 1], [1, 0, 1, 0]]
+    MultiplicationTable.from_json_text(json.dumps({"dim": 2, "entries": first}))
+    rows = first + [row]
     with pytest.raises(error) as e:
         MultiplicationTable.from_json_text(json.dumps({"dim": 2, "entries": rows}))
     assert type(e.value) is error and str(e.value) == message

@@ -1,5 +1,6 @@
 import hashlib
 from itertools import islice
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,7 +40,7 @@ from posetalg.oracles import (
     brute_pair_nesting,
     brute_up_closed_masks,
 )
-from posetalg.poset import all_pairs, transitive_closure
+from posetalg.poset import _check_label, all_pairs, transitive_closure
 
 from _strategies import posets
 
@@ -85,6 +86,17 @@ def test_bad_labels_rejected():
     for bad in ("", "a b", "x<y", "#z"):
         with pytest.raises(ValueError):
             poset_from_relations([bad], [])
+
+
+def test_label_check_refuses_exactly_whitespace_lt_and_hash():
+    refused = []
+    for c in map(chr, range(sys.maxunicode + 1)):
+        try:
+            _check_label(c)
+        except ValueError:
+            refused.append(c)
+    everything = map(chr, range(sys.maxunicode + 1))
+    assert refused == [c for c in everything if c.isspace() or c in "<#"]
 
 
 def test_index_lookup():

@@ -112,13 +112,13 @@ def test_dimension_closed_forms_past_enumeration_range():
     assert dimension_up_to(chain26, 32) == [26] + [377] * 31
 
 
-def test_dimensions_match_the_enumeration_oracle(exhaustive4, random7):
+@pytest.mark.parametrize("conv", ["allow_repeats", "distinct_only"])
+def test_dimensions_match_the_enumeration_oracle(exhaustive4, random7, conv):
     cases = [(P, 5) for P in exhaustive4]
     cases += [(P, 6) for P in random7 if P.n in (4, 5)]
     for P, degree in cases:
-        for conv in ("allow_repeats", "distinct_only"):
-            R = build_rewrite_system(P, conv)
-            assert dimension_up_to(R, degree) == brute_dimension_up_to(R, degree)
+        R = build_rewrite_system(P, conv)
+        assert dimension_up_to(R, degree) == brute_dimension_up_to(R, degree)
 
 
 def test_enumeration_oracle_is_capped():
