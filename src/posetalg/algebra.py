@@ -42,6 +42,8 @@ RESCALE_FACTORS = (
 )
 
 _UNCHECKED = object()
+# the exponent of a coefficient text in E notation
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
 
 
 class IncidenceAlgebra:
@@ -97,7 +99,7 @@ class IncidenceAlgebra:
             c = Fraction(value)
             if c:
                 i = self._gen_index(key)
-                coeffs[i] = coeffs.get(i, Fraction(0)) + c
+                coeffs[i] = coeffs[i] + c if i in coeffs else c
         return AlgebraElement(self, {i: c for i, c in coeffs.items() if c})
 
     def generator(self, key):
@@ -124,11 +126,13 @@ class IncidenceAlgebra:
         self._claim(g)
         coeffs = dict(f.coeffs)
         for i, c in g.coeffs.items():
-            s = coeffs.get(i, Fraction(0)) + c
-            if s:
+            s = coeffs.get(i)
+            if s is None:
+                coeffs[i] = c
+            elif s := s + c:
                 coeffs[i] = s
             else:
-                coeffs.pop(i, None)
+                del coeffs[i]
         return AlgebraElement(self, coeffs)
 
     def scale(self, c, f):
@@ -143,18 +147,19 @@ class IncidenceAlgebra:
         self._claim(g)
         gens = self.generators
         index = self.index
+        starting = {}  # u -> the (v, c) of g's terms c [u,v], in g's order
+        for j, cj in g.coeffs.items():
+            u, v = gens[j]
+            starting.setdefault(u, []).append((v, cj))
         coeffs = {}
         for i, ci in f.coeffs.items():
             x, y = gens[i]
-            for j, cj in g.coeffs.items():
-                u, v = gens[j]
-                if y != u:
-                    continue
-                k = index.get(Pair(x, v))
-                if k is None:
-                    continue
-                s = coeffs.get(k, Fraction(0)) + ci * cj
-                if s:
+            for v, cj in starting.get(y, ()):
+                k = index[x, v]  # x <= y <= v, strict when x < y and y < v
+                s = coeffs.get(k)
+                if s is None:
+                    coeffs[k] = ci * cj
+                elif s := s + ci * cj:
                     coeffs[k] = s
                 else:
                     del coeffs[k]
@@ -498,7 +503,7 @@ def _coefficient(text, coeff, row):
     """The nonzero Fraction that text = str(coeff) spells in a table row."""
     # Fraction would expand an exponent past Python's default int digit
     # limit (4300) into an integer that large before any check
-    exponent = re.search(r"e([-+]?[\d_]+)\s*\Z", text, re.IGNORECASE)
+    exponent = _EXPONENT.search(text)
     try:
         if exponent and abs(int(exponent.group(1))) > 4300:
             raise ParseError("coefficient exponent past 4300 in %r" % (row,))

@@ -17,7 +17,7 @@ pairs the up-set description does not apply, and the constructors refuse.
 from itertools import islice
 
 from .errors import AlgebraMismatch, CapExceeded, ConventionError
-from .poset import Pair, enumerate_up_sets, iterbits
+from .poset import enumerate_up_sets, iterbits
 
 
 def _require_reflexive(A):
@@ -33,7 +33,14 @@ def _require_same(I, J):
 
 
 class Ideal:
-    """Two-sided ideal, canonically an up-closed generator bitmask."""
+    """Two-sided ideal, canonically an up-closed generator bitmask.
+
+    The constructor checks that the mask is up-closed.  Every ideal this
+    module builds comes from _checked instead, whose masks are up-closed as
+    made: enumerated up-sets, principal up-sets and unions of them (zero
+    and ideal_generated_by among them), the full mask, the full mask less
+    one diagonal pair (a minimal pair of the nesting order), and sums,
+    intersections and products of up-sets (see ideal_product)."""
 
     __slots__ = ("algebra", "up_mask")
 
@@ -43,6 +50,13 @@ class Ideal:
             raise ValueError("generator set is not upward closed")
         self.algebra = algebra
         self.up_mask = up_mask
+
+    @classmethod
+    def _checked(cls, algebra, up_mask):
+        ideal = cls.__new__(cls)  # of a mask up-closed as made, not rechecked
+        ideal.algebra = algebra
+        ideal.up_mask = up_mask
+        return ideal
 
     @property
     def is_zero(self):
@@ -94,18 +108,18 @@ def format_ideal(I):
 
 def zero_ideal(A):
     _require_reflexive(A)
-    return Ideal(A, 0)
+    return Ideal._checked(A, 0)
 
 
 def full_ideal(A):
     _require_reflexive(A)
-    return Ideal(A, (1 << A.dim) - 1)
+    return Ideal._checked(A, (1 << A.dim) - 1)
 
 
 def principal_ideal(A, key):
     """Smallest ideal containing one generator: its principal up-set."""
     _require_reflexive(A)
-    return Ideal(A, A.pair_poset().principal_up(A._gen_index(key)))
+    return Ideal._checked(A, A.pair_poset().principal_up(A._gen_index(key)))
 
 
 def ideal_generated_by(A, elems):
@@ -117,32 +131,37 @@ def ideal_generated_by(A, elems):
         A._claim(f)
         for i in f.coeffs:
             mask |= G.principal_up(i)
-    return Ideal(A, mask)
+    return Ideal._checked(A, mask)
 
 
 def ideal_sum(I, J):
     _require_same(I, J)
-    return Ideal(I.algebra, I.up_mask | J.up_mask)
+    return Ideal._checked(I.algebra, I.up_mask | J.up_mask)
 
 
 def ideal_intersect(I, J):
     _require_same(I, J)
-    return Ideal(I.algebra, I.up_mask & J.up_mask)
+    return Ideal._checked(I.algebra, I.up_mask & J.up_mask)
 
 
 def ideal_product(I, J):
-    """Relational composition: pairs [x,v] with [x,w] in I and [w,v] in J."""
+    """Relational composition: pairs [x,v] with [x,w] in I and [w,v] in J.
+
+    It is up-closed: for [x',v'] wider than [x,v] (x' <= x, v <= v'),
+    [x',w] is wider than [x,w] and [w,v'] than [w,v], so they lie in I and
+    J and compose to [x',v']."""
     _require_same(I, J)
     A = I.algebra
     G = A.pair_poset()
-    pairs = G.pairs
+    pairs, index, by_first = G.pairs, G.index, G.by_first
+    J_mask = J.up_mask
     mask = 0
     for i in iterbits(I.up_mask):
         x, w = pairs[i]
-        for j in G.by_first[w]:
-            if J.up_mask >> j & 1:
-                mask |= 1 << G.index[Pair(x, pairs[j].y)]
-    return Ideal(A, mask)
+        for j in by_first[w]:
+            if J_mask >> j & 1:
+                mask |= 1 << index[x, pairs[j][1]]
+    return Ideal._checked(A, mask)
 
 
 def is_indecomposable(I):
@@ -156,24 +175,21 @@ def indecomposable_ideals(A):
     """One principal ideal per comparable pair, in canonical pair order."""
     _require_reflexive(A)
     G = A.pair_poset()
-    return [Ideal(A, G.principal_up(i)) for i in range(G.size)]
+    return [Ideal._checked(A, G.principal_up(i)) for i in range(G.size)]
 
 
 def maximal_indecomposable_ideals(A):
     """Principal ideals of the diagonal pairs, one per element."""
     _require_reflexive(A)
     G = A.pair_poset()
-    return [Ideal(A, G.principal_up(x)) for x in range(A.poset.n)]
+    return [Ideal._checked(A, G.principal_up(x)) for x in range(A.poset.n)]
 
 
 def maximal_ideals(A):
     """Complements of a single diagonal pair, one per element."""
     _require_reflexive(A)
     full = (1 << A.dim) - 1
-    out = []
-    for x in range(A.poset.n):
-        out.append(Ideal(A, full & ~(1 << x)))
-    return out
+    return [Ideal._checked(A, full & ~(1 << x)) for x in range(A.poset.n)]
 
 
 def enumerate_ideals(A, cap=20):
@@ -182,7 +198,7 @@ def enumerate_ideals(A, cap=20):
     The cap is checked up front, so CapExceeded fires at the call."""
     _require_reflexive(A)
     masks = enumerate_up_sets(A.pair_poset(), cap=cap)
-    return (Ideal(A, m) for m in masks)
+    return (Ideal._checked(A, m) for m in masks)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +220,7 @@ def ideal_lattice_dot(A, cap=64):
     masks.sort(key=lambda m: (m.bit_count(), m))
     names = {}
     for m in masks:
-        names[m] = format_ideal(Ideal(A, m))
+        names[m] = format_ideal(Ideal._checked(A, m))
     lines = ["digraph ideals {", "  rankdir=BT;"]
     for m in masks:
         lines.append('  "%s";' % names[m])

@@ -59,6 +59,17 @@ def brute_antichain_count(n, above):
     return count
 
 
+def brute_closure_witness(masks, op):
+    """Closure of a mask family under op, by trying every two masks: the
+    first (m1, m2) in list order with op(m1, m2) not listed, or None."""
+    listed = set(masks)
+    for m1 in masks:
+        for m2 in masks:
+            if op(m1, m2) not in listed:
+                return (m1, m2)
+    return None
+
+
 def brute_covers(P):
     """Cover pairs by scanning every candidate middle element."""
     out = []

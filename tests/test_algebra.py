@@ -131,13 +131,26 @@ def test_cross_algebra_operations_rejected():
 @given(st.data())
 def test_multiplication_is_associative_and_matches_matrices(data):
     P = data.draw(posets(max_n=4))
-    A = A_of(P)
+    A = A_of(P, data.draw(st.sampled_from(["reflexive", "irreflexive"])))
     f = data.draw(elements_of(A))
     g = data.draw(elements_of(A))
     h = data.draw(elements_of(A))
     fg = A.multiply(f, g)
     assert fg == element_product_via_matrices(f, g)
     assert A.multiply(fg, h) == A.multiply(f, A.multiply(g, h))
+
+
+@pytest.mark.parametrize("convention", ["reflexive", "irreflexive"])
+def test_multiplication_cancels_terms_on_one_generator(convention):
+    A = A_of(chain(4), convention)
+    a, b, c, d = range(4)
+    # [a,b][b,d] and [a,c][c,d] both land on [a,d] and cancel there
+    f = A.element({(a, b): 1, (a, c): 2})
+    g = A.element({(b, d): 2, (c, d): -1, (b, c): 3})
+    fg = A.multiply(f, g)
+    assert fg == element_product_via_matrices(f, g)
+    assert fg == A.element({(a, c): 3})
+    assert A.multiply(fg, g) == A.element({(a, d): -3})
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,6 +8,7 @@ from posetalg import (
     boolean_lattice,
     chain,
     diamond,
+    enumerate_ideals,
     maximal_ideals,
     poset_from_relations,
     random_poset,
@@ -21,6 +22,7 @@ from posetalg.checks import (
     get_corpus,
     run_poset_checks,
 )
+from posetalg.oracles import brute_closure_witness
 
 import pytest
 
@@ -87,6 +89,47 @@ def test_intersection_check_catches_a_missing_meet(
     # the witness is two listed masks that combine to the dropped one
     m1, m2 = map(int, r.detail.rsplit(" ", 1)[1].split(","))
     assert op(m1, m2) == dropped
+
+
+@pytest.mark.parametrize(
+    "check, op",
+    [(checks.check_sum_lemma, or_), (checks.check_intersection_is_meet, and_)],
+    ids=["sum", "meet"],
+)
+def test_closure_check_is_never_looser_than_the_pairwise_oracle(
+    monkeypatch, exhaustive4, random7, check, op
+):
+    # every ideal list within the cap, whole and with each mask dropped
+    family = []
+    monkeypatch.setattr(checks, "enumerate_ideals", lambda A, cap: iter(family))
+    stricter = 0
+    for P in exhaustive4 + random7:
+        A = IncidenceAlgebra(P, "reflexive")
+        G = A.pair_poset()
+        if G.size > 12:
+            continue
+        full = (1 << G.size) - 1
+        basis = {
+            G.principal_up(i) if op is or_ else full & ~((1 << i) | G.narrower[i])
+            for i in range(G.size)
+        }
+        listed = list(enumerate_ideals(A, cap=12))
+        for dropped in [None] + [I.up_mask for I in listed]:
+            family[:] = [I for I in listed if I.up_mask != dropped]
+            masks = [I.up_mask for I in family]
+            r = check(P, A, 12)
+            # the verdict is the same in any order; this one, small masks
+            # first for | and large first for &, meets a witness sooner
+            if brute_closure_witness(sorted(masks, reverse=op is and_), op):
+                assert not r.passed, (P, dropped)
+            elif not r.passed:
+                # stricter only where a basis mask is missing
+                assert dropped in basis, (P, dropped)
+                stricter += 1
+            if not r.passed:
+                m1, m2 = map(int, r.detail.rsplit(" ", 1)[1].split(","))
+                assert m1 in masks and m2 in basis and op(m1, m2) == dropped
+    assert stricter > 0
 
 
 def test_check_table_accepts_incidence_tables():

@@ -52,6 +52,29 @@ def test_masks_must_be_up_closed():
     Ideal(A, 0b101)
 
 
+def test_every_ideal_the_library_builds_is_up_closed(exhaustive4):
+    # the library skips the constructor's check on the ideals it builds
+    for P in exhaustive4:
+        A = A_of(P)
+        G = A.pair_poset()
+        listed = list(enumerate_ideals(A))
+        made = [
+            zero_ideal(A),
+            full_ideal(A),
+            *indecomposable_ideals(A),
+            *maximal_indecomposable_ideals(A),
+            *maximal_ideals(A),
+            *(principal_ideal(A, i) for i in range(A.dim)),
+            *(ideal_generated_by(A, [A.generator(i)]) for i in range(A.dim)),
+            *listed,
+        ]
+        masks = {I.up_mask for I in made}
+        for I in listed:
+            for J in listed:
+                masks.update(((I + J).up_mask, (I & J).up_mask, (I * J).up_mask))
+        assert all(G.is_up_closed(m) for m in masks), P
+
+
 def test_ideals_require_the_reflexive_convention():
     A = IncidenceAlgebra(chain(2), "irreflexive")
     with pytest.raises(ConventionError):
