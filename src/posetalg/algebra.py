@@ -284,8 +284,10 @@ class MultiplicationTable:
     """Monomial structure constants: (i, j) -> (coeff, k) meaning
     b_i b_j = coeff * b_k; missing entries are zero products.  The index
     right[i][j] = left[j][i] = (coeff, k) holds the same present products,
-    and landing[k] lists the keys (i, j) of those on b_k in entry order;
-    each is keyed only by indices that occur, so its size never follows dim.
+    landing[k] lists the keys (i, j) of those on b_k in entry order, and
+    square[q] = c for each quasi-idempotent b_q b_q = c b_q; each is keyed
+    only by indices that occur, so its size never follows dim.  Callers
+    must not mutate them.
     The constructor copies and checks the entries; from_json_text and
     multiplication_table, whose rows are valid as made, skip both.
 
@@ -295,8 +297,8 @@ class MultiplicationTable:
     triple scan, which finds the witness a refusal reports or finds none
     (the table is associative but is not a rescaled incidence table)."""
 
-    __slots__ = ("dim", "entries", "right", "left", "landing",
-                 "_witness", "_certified", "_square")
+    __slots__ = ("dim", "entries", "right", "left", "landing", "square",
+                 "_witness", "_certified")
 
     def __init__(self, dim, entries):
         entries = dict(entries)
@@ -324,9 +326,11 @@ class MultiplicationTable:
             right.setdefault(i, {})[j] = hit
             left.setdefault(j, {})[i] = hit
             landing.setdefault(hit[1], []).append(key)
+        self.square = {
+            q: hit[0] for q, row in right.items() if (hit := row.get(q)) and hit[1] == q
+        }
         self._witness = _UNCHECKED
         self._certified = None
-        self._square = None
 
     def __eq__(self, other):
         return (
@@ -374,7 +378,7 @@ class MultiplicationTable:
         dim, entries, right, left = self.dim, self.entries, self.right, self.left
         if len(left) < dim or len(right) < dim:
             return False  # an index with no product on one side is not placed
-        square = _quasi_idempotents(self)
+        square = self.square
         starts = [None] * dim
         ends = [None] * dim
         for q, c in square.items():
@@ -517,16 +521,6 @@ def _coefficient(text, coeff, row):
     except ValueError:
         raise ParseError("coefficient too long to write back in %r" % (row,)) from None
     return c
-
-
-def _quasi_idempotents(table):
-    """{q: c} for each q with b_q b_q = c b_q, kept: callers must not mutate it."""
-    if table._square is None:
-        right = table.right
-        table._square = {
-            q: hit[0] for q in right if (hit := right[q].get(q)) and hit[1] == q
-        }
-    return table._square
 
 
 def _solve_scales(table, square, starts, ends):

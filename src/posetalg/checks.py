@@ -189,7 +189,7 @@ def check_product_lemma(P, A):
     the product of the generator sums."""
     G = A.pair_poset()
     gens = A.generators
-    principals = [principal_ideal(A, i) for i in range(G.size)]
+    principals = indecomposable_ideals(A)
     # every coefficient of a product of coefficient-1 sums counts the
     # generator pairs landing there, so none cancels and its support is the
     # span of all pairwise generator products
@@ -219,7 +219,7 @@ def check_product_lemma(P, A):
 
 
 def check_product_in_intersection(P, A):
-    principals = [principal_ideal(A, i) for i in range(A.dim)]
+    principals = indecomposable_ideals(A)
     for i, Pi in enumerate(principals):
         for j, Pj in enumerate(principals):
             prod = ideal_product(Pi, Pj)

@@ -67,18 +67,20 @@ def _load_table(path):
 
 def cmd_info(args):
     P = _load_poset(args.input)
-    G = pair_poset(P)
+    strict = P.strict_pair_count()
+    # the reflexive algebra has a generator per comparable pair, the
+    # irreflexive one per strict pair
     print(
         "n=%d strict_pairs=%d covers=%d longest_chain=%d comparable_pairs=%d "
         "generators_reflexive=%d generators_irreflexive=%d"
         % (
             P.n,
-            P.strict_pair_count(),
+            strict,
             len(covers(P)),
             longest_chain_length(P),
-            G.size,
-            IncidenceAlgebra(P, "reflexive").dim,
-            IncidenceAlgebra(P, "irreflexive").dim,
+            P.n + strict,
+            P.n + strict,
+            strict,
         )
     )
     return 0

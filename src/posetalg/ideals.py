@@ -35,18 +35,23 @@ def _require_same(I, J):
 class Ideal:
     """Two-sided ideal, canonically an up-closed generator bitmask.
 
-    The constructor checks that the mask is up-closed.  Every ideal this
-    module builds comes from _checked instead, whose masks are up-closed as
-    made: enumerated up-sets, principal up-sets and unions of them (zero
-    and ideal_generated_by among them), the full mask, the full mask less
-    one diagonal pair (a minimal pair of the nesting order), and sums,
+    The constructor checks that the algebra is reflexive and that the mask
+    is an up-closed set of its generator indices.  Every ideal this module
+    builds comes from _checked instead, whose masks are up-closed as made:
+    enumerated up-sets, principal up-sets and unions of them (zero and
+    ideal_generated_by among them), the full mask, the full mask less one
+    diagonal pair (a minimal pair of the nesting order), and sums,
     intersections and products of up-sets (see ideal_product)."""
 
     __slots__ = ("algebra", "up_mask")
 
     def __init__(self, algebra, up_mask):
-        G = algebra.pair_poset()
-        if not G.is_up_closed(up_mask):
+        _require_reflexive(algebra)
+        if not 0 <= up_mask < 1 << algebra.dim:
+            raise ValueError(
+                "mask %r names no set of %d generators" % (up_mask, algebra.dim)
+            )
+        if not algebra.pair_poset().is_up_closed(up_mask):
             raise ValueError("generator set is not upward closed")
         self.algebra = algebra
         self.up_mask = up_mask

@@ -163,17 +163,20 @@ def poset_from_relations(labels, relations):
 
 
 # ---------------------------------------------------------------------------
-# order queries
+# order queries; the private ones read strict relation rows, up[x] above x
+# and down[x] below it, so they serve P (up, down) and its pair poset
+# (wider, narrower) alike
+
+
+def _covers(up, down):
+    return [
+        (x, y) for x in range(len(up)) for y in iterbits(up[x]) if up[x] & down[y] == 0
+    ]
 
 
 def covers(P):
     """Covering pairs: x < y with nothing strictly between."""
-    out = []
-    for x in range(P.n):
-        for y in iterbits(P.up[x]):
-            if P.up[x] & P.down[y] == 0:
-                out.append(Pair(x, y))
-    return out
+    return [Pair(x, y) for x, y in _covers(P.up, P.down)]
 
 
 def natural_labeling(P):
@@ -192,19 +195,23 @@ def natural_labeling(P):
     return order
 
 
+def _levels(down):
+    lev = [0] * len(down)
+    # anything strictly below x has a strictly smaller down row, so this
+    # order is topological
+    for x in sorted(range(len(down)), key=lambda x: down[x].bit_count()):
+        lev[x] = max((lev[d] + 1 for d in iterbits(down[x])), default=0)
+    return lev
+
+
 def levels(P):
     """Length of the longest chain strictly below each element (0 for minimal)."""
-    lev = [0] * P.n
-    for x in natural_labeling(P):
-        lev[x] = max((lev[d] + 1 for d in iterbits(P.down[x])), default=0)
-    return lev
+    return _levels(P.down)
 
 
 def longest_chain_length(P):
     """Number of elements in a longest chain (0 for the empty poset)."""
-    if P.n == 0:
-        return 0
-    return max(levels(P)) + 1
+    return max(levels(P), default=-1) + 1
 
 
 def all_pairs(P):
@@ -277,14 +284,6 @@ class PairPoset:
 
     def minimal_of(self, mask):
         return [i for i in iterbits(mask) if self.narrower[i] & mask == 0]
-
-    def covers(self):
-        out = []
-        for i in range(self.size):
-            for j in iterbits(self.wider[i]):
-                if self.wider[i] & self.narrower[j] == 0:
-                    out.append((i, j))
-        return out
 
     def pair_label(self, i):
         p = self.pairs[i]
@@ -470,41 +469,27 @@ def format_poset(P):
     )
 
 
-def _dot_rank_groups(names, lev):
-    lines = []
-    for value in sorted(set(lev)):
-        members = [names[x] for x in range(len(names)) if lev[x] == value]
-        lines.append("  { rank=same; %s }" % " ".join('"%s";' % m for m in members))
-    return lines
+def _hasse_dot(kind, names, up, down):
+    """DOT digraph named kind: one edge per cover, nodes ranked by level."""
+    lines = ["digraph %s {" % kind, "  rankdir=BT;"]
+    lines.extend('  "%s";' % name for name in names)
+    ranks = {}
+    for name, value in zip(names, _levels(down)):
+        ranks.setdefault(value, []).append('"%s";' % name)
+    for value in sorted(ranks):
+        lines.append("  { rank=same; %s }" % " ".join(ranks[value]))
+    for x, y in _covers(up, down):
+        lines.append('  "%s" -> "%s";' % (names[x], names[y]))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def hasse_dot(P):
     """Hasse diagram as DOT: one edge per cover, nodes ranked by level."""
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    for lab in P.labels:
-        lines.append('  "%s";' % lab)
-    if P.n:
-        lines.extend(_dot_rank_groups(P.labels, levels(P)))
-    for p in covers(P):
-        lines.append('  "%s" -> "%s";' % (P.labels[p.x], P.labels[p.y]))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _hasse_dot("hasse", P.labels, P.up, P.down)
 
 
 def pair_poset_dot(G):
     """Hasse diagram of the nesting order on comparable pairs."""
     names = [G.pair_label(i) for i in range(G.size)]
-    lev = [0] * G.size
-    # anything narrower has a strictly smaller narrower-set, so this order is
-    # topological
-    for i in sorted(range(G.size), key=lambda i: G.narrower[i].bit_count()):
-        lev[i] = max((lev[j] + 1 for j in iterbits(G.narrower[i])), default=0)
-    lines = ["digraph pairs {", "  rankdir=BT;"]
-    for name in names:
-        lines.append('  "%s";' % name)
-    if G.size:
-        lines.extend(_dot_rank_groups(names, lev))
-    for i, j in G.covers():
-        lines.append('  "%s" -> "%s";' % (names[i], names[j]))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _hasse_dot("pairs", names, G.wider, G.narrower)

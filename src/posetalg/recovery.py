@@ -33,7 +33,7 @@ suspicious input; ensure_table_shape refuses a recovered poset whose
 comparable pairs do not number dim (NoPosetBehindTable).
 """
 
-from .algebra import IncidenceAlgebra, _quasi_idempotents, scramble_draws
+from .algebra import IncidenceAlgebra, scramble_draws
 from .errors import ClosureViolation, NoPosetBehindTable, RecoveredRelationNotTransitive
 from .poset import Pair, Poset, iterbits, transitive_closure
 
@@ -41,7 +41,7 @@ from .poset import Pair, Poset, iterbits, transitive_closure
 def quasi_idempotents(table):
     """Indices i with b_i^2 = c * b_i, c != 0.  Validates associativity."""
     table.ensure_associative()
-    return sorted(_quasi_idempotents(table))
+    return sorted(table.square)
 
 
 def principal_support(table, i):

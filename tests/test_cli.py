@@ -1,6 +1,14 @@
+import tracemalloc
+
 import pytest
 
-from posetalg import MultiplicationTable, IncidenceAlgebra, parse_poset
+from posetalg import (
+    IncidenceAlgebra,
+    MultiplicationTable,
+    chain,
+    format_poset,
+    parse_poset,
+)
 from posetalg.cli import main
 
 
@@ -27,6 +35,26 @@ def test_info(capsys, chain3_file):
         "n=3 strict_pairs=3 covers=2 longest_chain=3 comparable_pairs=6 "
         "generators_reflexive=6 generators_irreflexive=3\n"
     )
+
+
+def test_info_reads_counts_from_the_poset(capsys, tmp_path):
+    # the pair counts are P.n + strict pairs and strict pairs: building the
+    # pair poset for them holds O(pairs^2) bits (28 MB traced on chain(150))
+    p = tmp_path / "chain150.pos"
+    p.write_text(format_poset(chain(150)))
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "info", "--input", str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out == (
+        "n=150 strict_pairs=11175 covers=149 longest_chain=150 "
+        "comparable_pairs=11325 generators_reflexive=11325 "
+        "generators_irreflexive=11175\n"
+    )
+    assert peak < 5 * 2**20, peak
 
 
 def test_ideals_listing(capsys, tmp_path):

@@ -1,3 +1,4 @@
+from contextlib import nullcontext
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -44,12 +45,32 @@ def A_of(P):
 # construction
 
 
-def test_masks_must_be_up_closed():
-    A = A_of(chain(2))
-    # {[a,a]} alone is not an ideal: [a,a] generates [a,b] too
-    with pytest.raises(ValueError):
-        Ideal(A, 0b001)
-    Ideal(A, 0b101)
+@pytest.mark.parametrize(
+    "convention, mask, outcome",
+    [
+        ("reflexive", 0b101, nullcontext()),
+        # {[a,a]} alone is not an ideal: [a,a] generates [a,b] too
+        ("reflexive", 0b001, pytest.raises(ValueError)),
+        # the reflexive chain(2) has generators 0..2
+        ("reflexive", 0b1000, pytest.raises(ValueError)),
+        ("reflexive", -1, pytest.raises(ValueError)),
+        # the irreflexive one has the one generator [a,b], and no ideal
+        # calculus: not a bit past it, nor the whole algebra
+        ("irreflexive", 0b100, pytest.raises(ConventionError)),
+        ("irreflexive", 0b1, pytest.raises(ConventionError)),
+    ],
+    ids=[
+        "up-closed",
+        "not-up-closed",
+        "bit-past-dim",
+        "negative",
+        "irreflexive-past-dim",
+        "irreflexive-full",
+    ],
+)
+def test_masks_must_be_up_closed(convention, mask, outcome):
+    with outcome:
+        Ideal(IncidenceAlgebra(chain(2), convention), mask)
 
 
 def test_every_ideal_the_library_builds_is_up_closed(exhaustive4):

@@ -353,6 +353,57 @@ def test_hasse_dot_golden():
     )
 
 
+def test_hasse_dot_golden_diamond():
+    assert hasse_dot(diamond()) == (
+        'digraph hasse {\n'
+        '  rankdir=BT;\n'
+        '  "a";\n'
+        '  "b";\n'
+        '  "c";\n'
+        '  "d";\n'
+        '  { rank=same; "a"; }\n'
+        '  { rank=same; "b"; "c"; }\n'
+        '  { rank=same; "d"; }\n'
+        '  "a" -> "b";\n'
+        '  "a" -> "c";\n'
+        '  "b" -> "d";\n'
+        '  "c" -> "d";\n'
+        '}\n'
+    )
+
+
+def test_pair_poset_dot_golden_diamond():
+    assert pair_poset_dot(pair_poset(diamond())) == (
+        'digraph pairs {\n'
+        '  rankdir=BT;\n'
+        '  "[a,a]";\n'
+        '  "[b,b]";\n'
+        '  "[c,c]";\n'
+        '  "[d,d]";\n'
+        '  "[a,b]";\n'
+        '  "[a,c]";\n'
+        '  "[a,d]";\n'
+        '  "[b,d]";\n'
+        '  "[c,d]";\n'
+        '  { rank=same; "[a,a]"; "[b,b]"; "[c,c]"; "[d,d]"; }\n'
+        '  { rank=same; "[a,b]"; "[a,c]"; "[b,d]"; "[c,d]"; }\n'
+        '  { rank=same; "[a,d]"; }\n'
+        '  "[a,a]" -> "[a,b]";\n'
+        '  "[a,a]" -> "[a,c]";\n'
+        '  "[b,b]" -> "[a,b]";\n'
+        '  "[b,b]" -> "[b,d]";\n'
+        '  "[c,c]" -> "[a,c]";\n'
+        '  "[c,c]" -> "[c,d]";\n'
+        '  "[d,d]" -> "[b,d]";\n'
+        '  "[d,d]" -> "[c,d]";\n'
+        '  "[a,b]" -> "[a,d]";\n'
+        '  "[a,c]" -> "[a,d]";\n'
+        '  "[b,d]" -> "[a,d]";\n'
+        '  "[c,d]" -> "[a,d]";\n'
+        '}\n'
+    )
+
+
 def test_pair_poset_dot_mentions_every_pair():
     P = chain(3)
     text = pair_poset_dot(pair_poset(P))

@@ -22,7 +22,7 @@ from posetalg import (
     recovered_links,
     scramble,
 )
-from posetalg.algebra import _quasi_idempotents, _solve_scales
+from posetalg.algebra import _solve_scales
 from posetalg.oracles import (
     brute_associativity_witness,
     brute_maximal_supports,
@@ -250,7 +250,7 @@ def test_twisted_sphere_table_is_not_certified_but_associative():
 def solved_scales(T):
     """_solve_scales on a certified table, each index placed at the
     quasi-idempotents with a product on it."""
-    square = _quasi_idempotents(T)
+    square = T.square
     starts, ends = [None] * T.dim, [None] * T.dim
     for q in square:
         for j in T.right[q]:
@@ -298,6 +298,7 @@ def layout(T):
         rows(T.right),
         rows(T.left),
         list(T.landing.items()),
+        list(T.square.items()),
     )
 
 
@@ -312,6 +313,11 @@ def test_parsed_tables_are_indexed_as_constructed_ones(corpus_tables):
         assert layout(parsed) == layout(built)
 
 
-def test_quasi_idempotents_are_found_once_per_table():
-    T = scramble(IncidenceAlgebra(chain(4), "reflexive").multiplication_table(), 1)
-    assert _quasi_idempotents(T) is _quasi_idempotents(T)
+def test_quasi_idempotents_are_found_once_per_table(corpus_tables):
+    # the index keeps {q: c} for each b_q b_q = c b_q as it is built
+    tables = [scramble(T, seed) for seed, T in enumerate(corpus_tables, start=1)]
+    chain4 = IncidenceAlgebra(chain(4), "reflexive").multiplication_table()
+    tables += [chain4, scramble(chain4, 1), c2_group_table(), quiver_path_table()]
+    for T in tables:
+        assert sorted(T.square) == brute_quasi_idempotents(T)
+        assert T.square == {q: T.entries[q, q][0] for q in T.square}
