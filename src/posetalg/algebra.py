@@ -22,6 +22,7 @@ from math import gcd
 from . import poset as _poset
 from .errors import (
     AlgebraMismatch,
+    ConventionError,
     NoUnit,
     NotAssociative,
     NotMonomial,
@@ -53,7 +54,7 @@ class IncidenceAlgebra:
     irreflexive: strict pairs only; the algebra is nilpotent and has no unit.
     """
 
-    __slots__ = ("poset", "convention", "generators", "index", "_pair_poset")
+    __slots__ = ("poset", "convention", "generators", "index", "by_first", "_pair_poset")
 
     def __init__(self, poset, convention="reflexive"):
         if convention not in ("reflexive", "irreflexive"):
@@ -61,18 +62,33 @@ class IncidenceAlgebra:
         pairs = all_pairs(poset)
         if convention == "irreflexive":
             pairs = [p for p in pairs if p.x != p.y]
+        # by_first[u] lists (j, v) for each generator j = [u,v], in generator
+        # order: the generators that [x,u] composes with on the right
+        by_first = [[] for _ in range(poset.n)]
+        for j, (u, v) in enumerate(pairs):
+            by_first[u].append((j, v))
         self.poset = poset
         self.convention = convention
         self.generators = tuple(pairs)
         self.index = {p: i for i, p in enumerate(pairs)}
+        self.by_first = by_first
         self._pair_poset = None
 
     @property
     def dim(self):
         return len(self.generators)
 
+    def _check_reflexive(self):
+        if self.convention != "reflexive":
+            raise ConventionError(
+                "ideal calculus needs the reflexive convention (diagonal pairs)"
+            )
+
     def pair_poset(self):
+        """Comparable pairs under nesting, pair i being generator i.  Refuses
+        the irreflexive convention, whose generators are strict pairs only."""
         if self._pair_poset is None:
+            self._check_reflexive()
             self._pair_poset = _poset.PairPoset(self.poset)
         return self._pair_poset
 
@@ -186,14 +202,11 @@ class IncidenceAlgebra:
 
     def multiplication_table(self):
         index = self.index
-        by_first = [[] for _ in range(self.poset.n)]
-        for j, (u, v) in enumerate(self.generators):
-            by_first[u].append((j, v))
         one = Fraction(1)
         entries = {}
         for i, (x, y) in enumerate(self.generators):
             # x <= y <= v gives x <= v, strict when y < v
-            for j, v in by_first[y]:
+            for j, v in self.by_first[y]:
                 entries[(i, j)] = (one, index[Pair(x, v)])
         return MultiplicationTable._checked(self.dim, entries)
 

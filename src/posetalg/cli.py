@@ -21,11 +21,11 @@ from .ideals import (
     maximal_indecomposable_ideals,
 )
 from .poset import (
+    PairPoset,
     covers,
     format_poset,
     hasse_dot,
     longest_chain_length,
-    pair_poset,
     pair_poset_dot,
     parse_poset,
 )
@@ -191,7 +191,7 @@ def cmd_export(args):
     if args.what == "hasse":
         text = hasse_dot(P)
     elif args.what == "pairs":
-        text = pair_poset_dot(pair_poset(P))
+        text = pair_poset_dot(PairPoset(P))
     elif args.what == "ideal-lattice":
         A = IncidenceAlgebra(P, args.convention)
         text = ideal_lattice_dot(A, cap=args.cap)

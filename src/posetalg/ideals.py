@@ -11,20 +11,15 @@ up-sets; the maximal indecomposable ones sit over the diagonal pairs; maximal
 ideals drop a single diagonal pair.
 
 Irreflexive-convention algebras are out of scope here: without the diagonal
-pairs the up-set description does not apply, and the constructors refuse.
+pairs the up-set description does not apply.  IncidenceAlgebra.pair_poset()
+is reflexive-only and raises ConventionError otherwise, and every
+constructor here goes through it or through the same check.
 """
 
 from itertools import islice
 
-from .errors import AlgebraMismatch, CapExceeded, ConventionError
-from .poset import enumerate_up_sets, iterbits
-
-
-def _require_reflexive(A):
-    if A.convention != "reflexive":
-        raise ConventionError(
-            "ideal calculus needs the reflexive convention (diagonal pairs)"
-        )
+from .errors import AlgebraMismatch, CapExceeded
+from .poset import _hasse_dot, enumerate_up_sets, iterbits
 
 
 def _require_same(I, J):
@@ -46,12 +41,12 @@ class Ideal:
     __slots__ = ("algebra", "up_mask")
 
     def __init__(self, algebra, up_mask):
-        _require_reflexive(algebra)
+        G = algebra.pair_poset()
         if not 0 <= up_mask < 1 << algebra.dim:
             raise ValueError(
                 "mask %r names no set of %d generators" % (up_mask, algebra.dim)
             )
-        if not algebra.pair_poset().is_up_closed(up_mask):
+        if not G.is_up_closed(up_mask):
             raise ValueError("generator set is not upward closed")
         self.algebra = algebra
         self.up_mask = up_mask
@@ -112,24 +107,22 @@ def format_ideal(I):
 
 
 def zero_ideal(A):
-    _require_reflexive(A)
+    A._check_reflexive()
     return Ideal._checked(A, 0)
 
 
 def full_ideal(A):
-    _require_reflexive(A)
+    A._check_reflexive()
     return Ideal._checked(A, (1 << A.dim) - 1)
 
 
 def principal_ideal(A, key):
     """Smallest ideal containing one generator: its principal up-set."""
-    _require_reflexive(A)
     return Ideal._checked(A, A.pair_poset().principal_up(A._gen_index(key)))
 
 
 def ideal_generated_by(A, elems):
     """Upward closure of the supports of the given elements."""
-    _require_reflexive(A)
     G = A.pair_poset()
     mask = 0
     for f in elems:
@@ -157,15 +150,14 @@ def ideal_product(I, J):
     J and compose to [x',v']."""
     _require_same(I, J)
     A = I.algebra
-    G = A.pair_poset()
-    pairs, index, by_first = G.pairs, G.index, G.by_first
+    gens, index, by_first = A.generators, A.index, A.by_first
     J_mask = J.up_mask
     mask = 0
     for i in iterbits(I.up_mask):
-        x, w = pairs[i]
-        for j in by_first[w]:
+        x, w = gens[i]
+        for j, v in by_first[w]:
             if J_mask >> j & 1:
-                mask |= 1 << index[x, pairs[j][1]]
+                mask |= 1 << index[x, v]
     return Ideal._checked(A, mask)
 
 
@@ -178,21 +170,19 @@ def is_indecomposable(I):
 
 def indecomposable_ideals(A):
     """One principal ideal per comparable pair, in canonical pair order."""
-    _require_reflexive(A)
     G = A.pair_poset()
     return [Ideal._checked(A, G.principal_up(i)) for i in range(G.size)]
 
 
 def maximal_indecomposable_ideals(A):
     """Principal ideals of the diagonal pairs, one per element."""
-    _require_reflexive(A)
     G = A.pair_poset()
     return [Ideal._checked(A, G.principal_up(x)) for x in range(A.poset.n)]
 
 
 def maximal_ideals(A):
     """Complements of a single diagonal pair, one per element."""
-    _require_reflexive(A)
+    A._check_reflexive()
     full = (1 << A.dim) - 1
     return [Ideal._checked(A, full & ~(1 << x)) for x in range(A.poset.n)]
 
@@ -201,7 +191,6 @@ def enumerate_ideals(A, cap=20):
     """Every ideal (the zero ideal included), streamed in a fixed order.
 
     The cap is checked up front, so CapExceeded fires at the call."""
-    _require_reflexive(A)
     masks = enumerate_up_sets(A.pair_poset(), cap=cap)
     return (Ideal._checked(A, m) for m in masks)
 
@@ -211,27 +200,23 @@ def enumerate_ideals(A, cap=20):
 
 
 def ideal_lattice_dot(A, cap=64):
-    """DOT digraph of all ideals under inclusion, edges are covers.
+    """DOT Hasse diagram of all ideals under inclusion, ranked by dimension.
 
     Ideals of an incidence algebra differ along a cover by exactly one pair,
-    so covering means 'superset by one bit'.
+    so an ideal's level in the lattice is its dimension.
     """
-    _require_reflexive(A)
     G = A.pair_poset()
     # s pairs give at least s + 1 ideals, so the pair cap refuses exactly
     masks = list(islice(enumerate_up_sets(G, cap=cap), cap + 1))
     if len(masks) > cap:
         raise CapExceeded("more than %d ideals, the lattice export cap" % cap)
     masks.sort(key=lambda m: (m.bit_count(), m))
-    names = {}
-    for m in masks:
-        names[m] = format_ideal(Ideal._checked(A, m))
-    lines = ["digraph ideals {", "  rankdir=BT;"]
-    for m in masks:
-        lines.append('  "%s";' % names[m])
-    for m in masks:
-        for mm in masks:
-            if mm & ~m == 0 and (m & ~mm).bit_count() == 1:
-                lines.append('  "%s" -> "%s";' % (names[mm], names[m]))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    names = [format_ideal(Ideal._checked(A, m)) for m in masks]
+    # strict containment rows; sorted by size, a mask lies only in later ones
+    up, down = [0] * len(masks), [0] * len(masks)
+    for a, m in enumerate(masks):
+        for b in range(a + 1, len(masks)):
+            if m & ~masks[b] == 0:
+                up[a] |= 1 << b
+                down[b] |= 1 << a
+    return _hasse_dot("ideals", names, up, down)

@@ -234,16 +234,13 @@ class PairPoset:
     Upward-closed subsets of this poset are what the ideal machinery
     enumerates."""
 
-    __slots__ = ("poset", "pairs", "index", "wider", "narrower", "by_first")
+    __slots__ = ("poset", "pairs", "wider", "narrower")
 
     def __init__(self, P):
         pairs = all_pairs(P)
-        index = {p: i for i, p in enumerate(pairs)}
-        by_first = [[] for _ in range(P.n)]
         first = [0] * P.n  # pairs starting at x
         last = [0] * P.n  # pairs ending at y
         for i, (x, y) in enumerate(pairs):
-            by_first[x].append(i)
             first[x] |= 1 << i
             last[y] |= 1 << i
 
@@ -264,10 +261,8 @@ class PairPoset:
                     for i, (x, y) in enumerate(pairs)]
         self.poset = P
         self.pairs = tuple(pairs)
-        self.index = index
         self.wider = tuple(wider)
         self.narrower = tuple(narrower)
-        self.by_first = tuple(tuple(js) for js in by_first)
 
     @property
     def size(self):
@@ -289,10 +284,6 @@ class PairPoset:
         p = self.pairs[i]
         labs = self.poset.labels
         return "[%s,%s]" % (labs[p.x], labs[p.y])
-
-
-def pair_poset(P):
-    return PairPoset(P)
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +461,19 @@ def format_poset(P):
 
 
 def _hasse_dot(kind, names, up, down):
-    """DOT digraph named kind: one edge per cover, nodes ranked by level."""
+    """DOT digraph named kind: one edge per cover, nodes ranked by level.
+
+    Names are written as quoted IDs with '\\' and '"' escaped."""
+    ids = ['"%s"' % n.replace("\\", "\\\\").replace('"', '\\"') for n in names]
     lines = ["digraph %s {" % kind, "  rankdir=BT;"]
-    lines.extend('  "%s";' % name for name in names)
+    lines.extend("  %s;" % q for q in ids)
     ranks = {}
-    for name, value in zip(names, _levels(down)):
-        ranks.setdefault(value, []).append('"%s";' % name)
+    for q, value in zip(ids, _levels(down)):
+        ranks.setdefault(value, []).append(q + ";")
     for value in sorted(ranks):
         lines.append("  { rank=same; %s }" % " ".join(ranks[value]))
     for x, y in _covers(up, down):
-        lines.append('  "%s" -> "%s";' % (names[x], names[y]))
+        lines.append("  %s -> %s;" % (ids[x], ids[y]))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -7,6 +7,7 @@ import pytest
 
 from posetalg import (
     AlgebraMismatch,
+    ConventionError,
     IncidenceAlgebra,
     MultiplicationTable,
     NoUnit,
@@ -47,6 +48,13 @@ def test_generator_order_matches_pair_poset():
         (1, 2),
     ]
     assert A.pair_poset().pairs == A.generators
+
+
+def test_pair_poset_is_reflexive_only():
+    # the one irreflexive generator [a,b] is not pair 0 of the three pairs
+    A = A_of(chain(2), "irreflexive")
+    with pytest.raises(ConventionError, match="needs the reflexive convention"):
+        A.pair_poset()
 
 
 def test_monomial_products():

@@ -1,5 +1,6 @@
 from contextlib import nullcontext
 from fractions import Fraction
+import hashlib
 
 from hypothesis import given, settings
 import pytest
@@ -262,6 +263,55 @@ def test_ideal_lattice_dot_chain2():
     assert text.count("->") == 5  # covers of the 5-element ideal lattice
     assert '"{}"' in text
     assert '"{[a,a],[b,b],[a,b]}"' in text
+
+
+def test_ideal_lattice_dot_golden_chain2():
+    assert ideal_lattice_dot(A_of(chain(2))) == (
+        'digraph ideals {\n'
+        '  rankdir=BT;\n'
+        '  "{}";\n'
+        '  "{[a,b]}";\n'
+        '  "{[a,a],[a,b]}";\n'
+        '  "{[b,b],[a,b]}";\n'
+        '  "{[a,a],[b,b],[a,b]}";\n'
+        '  { rank=same; "{}"; }\n'
+        '  { rank=same; "{[a,b]}"; }\n'
+        '  { rank=same; "{[a,a],[a,b]}"; "{[b,b],[a,b]}"; }\n'
+        '  { rank=same; "{[a,a],[b,b],[a,b]}"; }\n'
+        '  "{}" -> "{[a,b]}";\n'
+        '  "{[a,b]}" -> "{[a,a],[a,b]}";\n'
+        '  "{[a,b]}" -> "{[b,b],[a,b]}";\n'
+        '  "{[a,a],[a,b]}" -> "{[a,a],[b,b],[a,b]}";\n'
+        '  "{[b,b],[a,b]}" -> "{[a,a],[b,b],[a,b]}";\n'
+        '}\n'
+    )
+
+
+def test_ideal_lattice_dot_golden_diamond():
+    text = ideal_lattice_dot(A_of(diamond()))
+    lines = text.splitlines()
+    assert lines[:4] == ['digraph ideals {', '  rankdir=BT;', '  "{}";', '  "{[a,d]}";']
+    # 48 ideals of dimensions 0 to 9, one rank line per dimension
+    ranks = [line for line in lines if "rank=same" in line]
+    assert len(ranks) == 10
+    for d, line in enumerate(ranks):
+        names = line[len("  { rank=same; "):-len(" }")].split("; ")
+        assert all(name.count("[") == d for name in names), line
+    assert ranks[2] == (
+        '  { rank=same; "{[a,b],[a,d]}"; "{[a,c],[a,d]}"; '
+        '"{[a,d],[b,d]}"; "{[a,d],[c,d]}"; }'
+    )
+    # edges in order of their lower end, then of their upper end
+    assert lines[60:64] == [
+        '  "{}" -> "{[a,d]}";',
+        '  "{[a,d]}" -> "{[a,b],[a,d]}";',
+        '  "{[a,d]}" -> "{[a,c],[a,d]}";',
+        '  "{[a,d]}" -> "{[a,d],[b,d]}";',
+    ]
+    assert text.count("->") == 105
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bac0d987083a07eb5043baa2ed118f8cee272b17f9e0592bdf709295dcc5938b"
+    )
 
 
 def test_ideal_lattice_dot_cap():

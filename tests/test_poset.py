@@ -1,5 +1,6 @@
 import hashlib
 from itertools import islice
+import re
 import sys
 
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from posetalg import (
     CapExceeded,
     CycleDetected,
     DuplicateLabel,
+    IncidenceAlgebra,
     Pair,
+    PairPoset,
     ParseError,
     Poset,
     SizeLimitExceeded,
@@ -21,13 +24,15 @@ from posetalg import (
     chain,
     covers,
     diamond,
+    enumerate_ideals,
     enumerate_up_sets,
+    format_ideal,
     format_poset,
     hasse_dot,
+    ideal_lattice_dot,
     levels,
     longest_chain_length,
     natural_labeling,
-    pair_poset,
     pair_poset_dot,
     parse_poset,
     poset_from_relations,
@@ -251,7 +256,7 @@ def test_pair_order_is_canonical():
 
 
 def test_pair_poset_chain2():
-    G = pair_poset(chain(2))
+    G = PairPoset(chain(2))
     assert G.size == 3
     # [a,b] sits above both diagonals
     assert G.wider[0] == 0b100 and G.wider[1] == 0b100 and G.wider[2] == 0
@@ -262,28 +267,28 @@ def test_pair_poset_chain2():
 
 def test_pair_nesting_matches_the_pairwise_definition(corpus):
     for P in corpus + [boolean_lattice(4)]:
-        G = pair_poset(P)
+        G = PairPoset(P)
         wider, narrower = brute_pair_nesting(P)
         assert list(G.wider) == wider and list(G.narrower) == narrower, P
 
 
 def test_diagonals_are_the_minimal_pairs():
     for P in (chain(4), diamond(), boolean_lattice(2), antichain(3)):
-        G = pair_poset(P)
+        G = PairPoset(P)
         assert G.minimal_of((1 << G.size) - 1) == list(range(P.n))
 
 
 @settings(max_examples=40)
 @given(posets(max_n=4))
 def test_up_set_enumeration_matches_brute_force(P):
-    G = pair_poset(P)
+    G = PairPoset(P)
     got = sorted(enumerate_up_sets(G))
     assert got == brute_up_closed_masks(G.size, G.wider)
     assert len(got) == brute_antichain_count(G.size, G.wider)
 
 
 def test_up_set_cap():
-    G = pair_poset(boolean_lattice(3))
+    G = PairPoset(boolean_lattice(3))
     assert G.size == 27
     with pytest.raises(CapExceeded) as e:
         enumerate_up_sets(G)
@@ -292,7 +297,7 @@ def test_up_set_cap():
 
 
 def test_up_set_enumeration_is_not_bounded_by_recursion_depth():
-    G = pair_poset(antichain(1200))
+    G = PairPoset(antichain(1200))
     full = (1 << 1200) - 1
     first = list(islice(enumerate_up_sets(G, cap=2000), 3))
     assert first == [full, full & ~(1 << 1199), full & ~(1 << 1198)]
@@ -300,7 +305,7 @@ def test_up_set_enumeration_is_not_bounded_by_recursion_depth():
 
 def test_chain_up_set_counts_are_catalan():
     # up-sets of the pair poset of an n-chain count lattice paths
-    counts = [len(list(enumerate_up_sets(pair_poset(chain(n))))) for n in range(1, 5)]
+    counts = [len(list(enumerate_up_sets(PairPoset(chain(n))))) for n in range(1, 5)]
     assert counts == [2, 5, 14, 42]
 
 
@@ -373,7 +378,7 @@ def test_hasse_dot_golden_diamond():
 
 
 def test_pair_poset_dot_golden_diamond():
-    assert pair_poset_dot(pair_poset(diamond())) == (
+    assert pair_poset_dot(PairPoset(diamond())) == (
         'digraph pairs {\n'
         '  rankdir=BT;\n'
         '  "[a,a]";\n'
@@ -404,9 +409,30 @@ def test_pair_poset_dot_golden_diamond():
     )
 
 
+def test_dot_exports_escape_quotes_and_backslashes():
+    # labels may hold '"' and '\'; every quoted ID escapes both
+    P = parse_poset('elements: a"b c\\\nrelations: a"b<c\\\n')
+    assert P.labels == ('a"b', 'c\\')
+    A = IncidenceAlgebra(P, "reflexive")
+    G = A.pair_poset()
+    ideal_names = [format_ideal(I) for I in enumerate_ideals(A)]
+    pair_names = [G.pair_label(i) for i in range(G.size)]
+    quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+    for text, names in [
+        (hasse_dot(P), P.labels),
+        (pair_poset_dot(G), pair_names),
+        (ideal_lattice_dot(A), ideal_names),
+    ]:
+        for line in text.splitlines():
+            # nothing but quoted IDs may hold a quote or a backslash
+            assert not re.search(r'["\\]', quoted.sub("", line)), line
+        ids = {re.sub(r"\\(.)", r"\1", q[1:-1]) for q in quoted.findall(text)}
+        assert ids == set(names)
+
+
 def test_pair_poset_dot_mentions_every_pair():
     P = chain(3)
-    text = pair_poset_dot(pair_poset(P))
+    text = pair_poset_dot(PairPoset(P))
     for lbl in ("[a,a]", "[b,b]", "[c,c]", "[a,b]", "[b,c]", "[a,c]"):
         assert '"%s"' % lbl in text
     assert text.count("->") == 6
