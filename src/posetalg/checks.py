@@ -1,9 +1,9 @@
 """Invariant suite over posets and tables, plus the built-in corpora.
 
-Each check compares a fast structural computation against either a stated
-closed form or a brute-force/linear-algebra oracle, and returns a
-CheckResult rather than asserting, so the command line driver can aggregate
-over a corpus and print witnesses.
+Each check compares a fast structural computation against a stated closed
+form, a brute-force count or an exact linear-algebra closure (linalg.py),
+and returns a CheckResult rather than asserting, so `posetalg check` can
+aggregate over a corpus and print witnesses.
 """
 
 from fractions import Fraction
@@ -23,8 +23,9 @@ from .ideals import (
     principal_ideal,
     zero_ideal,
 )
-from .oracles import brute_antichain_count, subspace_closure
-from .poset import Pair, all_labeled_posets, covers, random_poset
+from .linalg import ideal_closure
+from .oracles import brute_antichain_count
+from .poset import all_labeled_posets, covers, random_poset
 from .recovery import (
     ensure_table_shape,
     quasi_idempotents,
@@ -194,15 +195,13 @@ def check_product_lemma(P, A):
     # generator pairs landing there, so none cancels and its support is the
     # span of all pairwise generator products
     sums = [A.element({a: 1 for a in Pi.pair_indices()}) for Pi in principals]
+    zero = zero_ideal(A)
     for i, Pi in enumerate(principals):
         x, y = gens[i]
         for j, Pj in enumerate(principals):
             u, v = gens[j]
             got = ideal_product(Pi, Pj)
-            if P.leq(y, u):
-                want = principals[A.index[Pair(x, v)]]
-            else:
-                want = zero_ideal(A)
+            want = principals[A.index[x, v]] if P.leq(y, u) else zero
             if got != want:
                 return _fail(
                     "product_lemma",
@@ -291,13 +290,11 @@ def check_maximality(P, A, enum_cap):
 def check_diagonal_products(P, A):
     """I_x * I_y is the principal ideal of (x, y) when x <= y, else zero."""
     maxind = maximal_indecomposable_ideals(A)
+    zero = zero_ideal(A)
     for x in range(P.n):
         for y in range(P.n):
             got = ideal_product(maxind[x], maxind[y])
-            if P.leq(x, y):
-                want = principal_ideal(A, A.index[Pair(x, y)])
-            else:
-                want = zero_ideal(A)
+            want = principal_ideal(A, A.index[x, y]) if P.leq(x, y) else zero
             if got != want:
                 return _fail(
                     "diagonal_products",
@@ -307,19 +304,27 @@ def check_diagonal_products(P, A):
 
 
 def check_span_corollary(P, A, rng, n_lists):
+    """The ideal generated by some elements is the span of the generators
+    of the up-closure I of their supports.  The closure S of the elements
+    passes when its rank is |I| and every basis row lies inside I: then S is
+    a subspace of span(I) of the same dimension, so S = span(I), which is
+    the same as every generator of I lying in S."""
     for elems in random_element_lists(A, rng, n_lists):
         I = ideal_generated_by(A, elems)
-        S = subspace_closure(A, elems)
+        S = ideal_closure(A, elems)
         if S.dim != I.dimension():
             return _fail(
                 "span_corollary",
                 "%r closure dim %d vs up-set size %d" % (P, S.dim, I.dimension()),
             )
-        for i in I.pair_indices():
-            if not S.contains(A.generator(i)):
-                return _fail(
-                    "span_corollary", "%r pair %d missing from closure" % (P, i)
-                )
+        for row in S.rows.values():
+            for i in row:
+                if not I.up_mask >> i & 1:
+                    return _fail(
+                        "span_corollary",
+                        "%r closure holds pair %s outside the up-set"
+                        % (P, A.pair_poset().pair_label(i)),
+                    )
     return _ok("span_corollary")
 
 

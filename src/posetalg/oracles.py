@@ -6,7 +6,9 @@ evidence rather than a shared bug. Every exhaustive search is capped at
 sizes where it stays instant. The table oracles at the end read a
 multiplication table only through its entry dict, never through its index
 of present products, and rescan that dict wherever a definition quantifies
-over products.
+over products. The linear-algebra references (brute_rank, subspace_closure)
+are what tests hold linalg.py to; the check suite itself runs on
+linalg.ideal_closure.
 """
 
 from fractions import Fraction
@@ -27,6 +29,7 @@ from .poset import (
     natural_labeling,
     transitive_closure,
 )
+from .linalg import Subspace
 from .rewriting import MAX_WORD_LEN, reduce_word
 
 _SUBSET_LIMIT = 15
@@ -214,94 +217,35 @@ def element_product_via_matrices(f, g):
 
 
 # ---------------------------------------------------------------------------
-# the subspace oracle
+# linear algebra references
 
 
-class Subspace:
-    """Rational subspace in reduced row-echelon form over generator
-    coordinates.  Equal subspaces have identical bases."""
-
-    __slots__ = ("algebra", "rows")
-
-    def __init__(self, algebra, rows):
-        self.algebra = algebra
-        self.rows = rows  # pivot index -> {gen index: Fraction}, fully reduced
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def basis(self):
-        return [
-            AlgebraElement(self.algebra, dict(self.rows[p])) for p in sorted(self.rows)
-        ]
-
-    def reduce(self, coeffs):
-        """Residue of a coefficient dict after eliminating all pivots."""
-        vec = dict(coeffs)
-        for p in sorted(self.rows):
-            c = vec.get(p)
-            if not c:
-                continue
-            row = self.rows[p]
-            for i, v in row.items():
-                s = vec.get(i, Fraction(0)) - c * v
-                if s:
-                    vec[i] = s
-                else:
-                    vec.pop(i, None)
-        return vec
-
-    def contains(self, f):
-        self.algebra._claim(f)
-        return not self.reduce(f.coeffs)
-
-    def _insert(self, coeffs):
-        """Grow the span by one vector; returns the residue row or None."""
-        vec = self.reduce(coeffs)
-        if not vec:
-            return None
-        pivot = min(vec)
-        inv = Fraction(1) / vec[pivot]
-        vec = {i: c * inv for i, c in vec.items()}
-        for p, row in self.rows.items():
-            c = row.get(pivot)
-            if not c:
-                continue
-            for i, v in vec.items():
-                s = row.get(i, Fraction(0)) - c * v
-                if s:
-                    row[i] = s
-                else:
-                    row.pop(i, None)
-        self.rows[pivot] = vec
-        return vec
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.algebra.same_algebra(other.algebra)
-            and self.rows == other.rows
-        )
-
-    def __repr__(self):
-        return "<Subspace dim=%d of %d>" % (self.dim, self.algebra.dim)
-
-
-def span_of(A, elems):
-    """Plain linear span (no multiplicative closure)."""
-    S = Subspace(A, {})
-    for f in elems:
-        A._claim(f)
-        S._insert(f.coeffs)
-    return S
+def brute_rank(vectors, dim):
+    """Rank of coefficient dicts over dim coordinates, by dense Gaussian
+    elimination over Fractions: every vector written out in full, one pivot
+    column at a time."""
+    mat = [[Fraction(v.get(i, 0)) for i in range(dim)] for v in vectors]
+    rank = 0
+    for col in range(dim):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        for r in range(rank + 1, len(mat)):
+            c = mat[r][col] / top[col]
+            if c:
+                mat[r] = [a - c * b for a, b in zip(mat[r], top)]
+        rank += 1
+    return rank
 
 
 def subspace_closure(A, elems):
     """Smallest subspace containing elems and closed under left and right
-    multiplication by every generator.  Oracle for the ideal calculus; it
-    iterates products into an exact echelon basis until nothing new shows up.
-    """
+    multiplication by every generator, by the definition: every new row is
+    multiplied by all dim generators on both sides through A.multiply, into
+    an exact echelon basis, until nothing new shows up.  The reference for
+    linalg.ideal_closure."""
     S = Subspace(A, {})
     queue = []
     for f in elems:

@@ -12,6 +12,7 @@ from posetalg import (
     maximal_ideals,
     poset_from_relations,
     random_poset,
+    span_of,
     zero_ideal,
 )
 from posetalg import checks
@@ -202,6 +203,24 @@ def test_product_lemma_closed_form_leg_catches_a_wrong_product(monkeypatch):
     monkeypatch.setattr(checks, "ideal_product", lambda I, J: zero_ideal(A))
     r = checks.check_product_lemma(P, A)
     assert not r.passed and "want" in r.detail
+
+
+def test_span_corollary_catches_a_wrong_closure(monkeypatch):
+    P = chain(2)
+    A = IncidenceAlgebra(P, "reflexive")
+    # the ideal of [a,b] is {[a,b]}: a closure of the same rank elsewhere
+    # fails on its support, one of another rank on its rank
+    monkeypatch.setattr(
+        checks, "random_element_lists", lambda A, rng, n: [[A.generator((0, 1))]]
+    )
+    bb = span_of(A, [A.generator((1, 1))])
+    monkeypatch.setattr(checks, "ideal_closure", lambda A, elems: bb)
+    r = checks.check_span_corollary(P, A, None, 1)
+    assert not r.passed
+    assert r.detail.endswith("closure holds pair [b,b] outside the up-set")
+    monkeypatch.setattr(checks, "ideal_closure", lambda A, elems: span_of(A, []))
+    r = checks.check_span_corollary(P, A, None, 1)
+    assert not r.passed and "closure dim 0 vs up-set size 1" in r.detail
 
 
 def test_product_lemma_span_leg_catches_a_wrong_multiply(monkeypatch):
