@@ -16,6 +16,7 @@ from posetalg import (
     quasi_idempotents,
     recover_by_ideal_products,
     recover_by_links,
+    recover_table,
     scramble,
 )
 from posetalg.oracles import brute_isomorphism
@@ -40,8 +41,7 @@ print()
 print("Elements whose square is a multiple of themselves: %r" % (qs,))
 print("Those are the diagonal generators in disguise, one per poset element.")
 
-Q1 = recover_by_ideal_products(puzzle)
-Q2 = recover_by_links(puzzle)
+Q1, Q2 = recover_table(puzzle)
 print()
 print("Scheme 1 (products of principal supports) says:")
 print(format_poset(Q1))

@@ -54,7 +54,8 @@ class IncidenceAlgebra:
     irreflexive: strict pairs only; the algebra is nilpotent and has no unit.
     """
 
-    __slots__ = ("poset", "convention", "generators", "index", "by_first", "_pair_poset")
+    __slots__ = ("poset", "convention", "generators", "index", "by_first",
+                 "by_second", "_pair_poset")
 
     def __init__(self, poset, convention="reflexive"):
         if convention not in ("reflexive", "irreflexive"):
@@ -63,15 +64,19 @@ class IncidenceAlgebra:
         if convention == "irreflexive":
             pairs = [p for p in pairs if p.x != p.y]
         # by_first[u] lists (j, v) for each generator j = [u,v], in generator
-        # order: the generators that [x,u] composes with on the right
+        # order: the generators that [x,u] composes with on the right;
+        # by_second[v] lists (j, u), those that [v,y] composes with on the left
         by_first = [[] for _ in range(poset.n)]
+        by_second = [[] for _ in range(poset.n)]
         for j, (u, v) in enumerate(pairs):
             by_first[u].append((j, v))
+            by_second[v].append((j, u))
         self.poset = poset
         self.convention = convention
         self.generators = tuple(pairs)
         self.index = {p: i for i, p in enumerate(pairs)}
         self.by_first = by_first
+        self.by_second = by_second
         self._pair_poset = None
 
     @property

@@ -29,7 +29,7 @@ from .poset import (
     pair_poset_dot,
     parse_poset,
 )
-from .recovery import ensure_table_shape, recover_by_ideal_products, recover_by_links
+from .recovery import recover_table
 from .rewriting import (
     MAX_PROBE_DEGREE,
     build_rewrite_system,
@@ -167,9 +167,7 @@ def cmd_check(args):
 
 def cmd_recover(args):
     table = _load_table(args.input)
-    via_products = recover_by_ideal_products(table)
-    via_links = recover_by_links(table)
-    ensure_table_shape(table, via_products)
+    via_products, via_links = recover_table(table)
     agree = via_products == via_links
     print("dim=%d" % table.dim)
     print("quasi_idempotents=%d" % via_products.n)

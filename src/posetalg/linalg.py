@@ -113,10 +113,7 @@ def ideal_closure(A, elems):
         added = S._insert(f.coeffs)
         if added is not None:
             queue.append(added)
-    gens, index, by_first = A.generators, A.index, A.by_first
-    by_second = [[] for _ in range(A.poset.n)]  # x -> u of each [u,x]
-    for u, x in gens:
-        by_second[x].append(u)
+    gens, index, by_first, by_second = A.generators, A.index, A.by_first, A.by_second
     while queue:
         row = queue.pop()
         starting, ending = {}, {}  # x -> (y, c) and y -> (x, c) of c [x,y]
@@ -127,7 +124,7 @@ def ideal_closure(A, elems):
         products = [
             {index[u, y]: c for y, c in terms}
             for x, terms in starting.items()
-            for u in by_second[x]
+            for _, u in by_second[x]
         ]
         products += [
             {index[x, v]: c for x, c in terms}

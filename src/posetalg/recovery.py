@@ -29,8 +29,8 @@ Two independent routes:
 
 Both raise diagnostics (NotAssociative, NotMonomial, ClosureViolation,
 RecoveredRelationNotTransitive, CycleDetected) rather than repairing
-suspicious input; ensure_table_shape refuses a recovered poset whose
-comparable pairs do not number dim (NoPosetBehindTable).
+suspicious input.  recover_table, the front door, runs both and refuses a
+table whose recovered comparable pairs do not number dim (NoPosetBehindTable).
 """
 
 from .algebra import IncidenceAlgebra, scramble_draws
@@ -149,14 +149,18 @@ def recovered_links(table):
     return [(x, y) for x in range(len(qs)) for y in iterbits(links[x])]
 
 
-def ensure_table_shape(table, P):
-    """Refuse P as the poset behind table unless the reflexive incidence
-    algebra of P has exactly table.dim generators."""
-    pairs = P.n + P.strict_pair_count()
+def recover_table(table):
+    """The poset behind table by both routes, (via ideal products, via links).
+    Refuses the table unless the first has exactly table.dim comparable
+    pairs, the generators of its reflexive incidence algebra."""
+    via_products = recover_by_ideal_products(table)
+    via_links = recover_by_links(table)
+    pairs = via_products.n + via_products.strict_pair_count()
     if pairs != table.dim:
         raise NoPosetBehindTable(
             "dim %d but recovered poset has %d comparable pairs" % (table.dim, pairs)
         )
+    return via_products, via_links
 
 
 class RoundtripReport:
@@ -183,9 +187,9 @@ def _renamed(P, image):
 
 
 def verify_roundtrip(P, seeds):
-    """Scramble the reflexive table of P for each seed and recover it both
-    ways.  A seed passes when both routes return exactly P renamed by the
-    scramble's own permutation of the diagonal generators; the
+    """Scramble the reflexive table of P for each seed and recover it with
+    recover_table.  A seed passes when both routes return exactly P renamed
+    by the scramble's own permutation of the diagonal generators; the
     *_exact flags record that per route."""
     A = IncidenceAlgebra(P, "reflexive")
     table = A.multiplication_table()
@@ -195,8 +199,7 @@ def verify_roundtrip(P, seeds):
         perm, scales = scramble_draws(table.dim, seed)
         puzzle = table.permuted_rescaled(perm, scales)
         want = _renamed(P, [perm[d] for d in diagonal])
-        via_products = recover_by_ideal_products(puzzle)
-        via_links = recover_by_links(puzzle)
+        via_products, via_links = recover_table(puzzle)
         exact_a = via_products == want
         exact_b = via_links == want
         results.append(

@@ -184,6 +184,45 @@ def test_check_table_flags_shape_mismatch():
     assert failed == ["table_shape"]
 
 
+@pytest.mark.parametrize(
+    "table, found, shape",
+    [
+        (
+            MultiplicationTable(2, {(0, 0): (Fraction(1), 1)}),
+            "0 found",
+            "dim 2 but recovered poset has 0 comparable pairs",
+        ),
+        (
+            IncidenceAlgebra(chain(3), "irreflexive").multiplication_table(),
+            "0 found",
+            "dim 3 but recovered poset has 0 comparable pairs",
+        ),
+        (
+            MultiplicationTable(
+                2,
+                {
+                    (0, 0): (Fraction(1), 0),
+                    (0, 1): (Fraction(1), 1),
+                    (1, 0): (Fraction(1), 1),
+                },
+            ),
+            "1 found",
+            "dim 2 but recovered poset has 1 comparable pairs",
+        ),
+    ],
+    ids=["dim2", "irreflexive_chain3", "lone_nilpotent"],
+)
+def test_check_table_refuses_by_shape_alone(table, found, shape):
+    # a table with no poset behind it fails table_shape, with the message
+    # posetalg recover prints, and reports nothing after it; a table with
+    # no quasi-idempotent is one of them
+    assert [tuple(r) for r in check_table(table)] == [
+        ("table_associative", True, "", False),
+        ("table_quasi_idempotents", True, found, False),
+        ("table_shape", False, shape, False),
+    ]
+
+
 def test_corpora_are_pinned():
     e4 = corpus_exhaustive4()
     assert len(e4) == 243

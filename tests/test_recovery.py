@@ -8,8 +8,10 @@ from posetalg import (
     ClosureViolation,
     IncidenceAlgebra,
     MultiplicationTable,
+    NoPosetBehindTable,
     NotAssociative,
     Poset,
+    PosetAlgebraError,
     RecoveredRelationNotTransitive,
     antichain,
     boolean_lattice,
@@ -21,11 +23,12 @@ from posetalg import (
     random_poset,
     recover_by_ideal_products,
     recover_by_links,
+    recover_table,
     recovered_links,
     scramble,
     verify_roundtrip,
 )
-from posetalg import recovery
+from posetalg import cli, recovery
 from posetalg.checks import run_poset_checks
 from posetalg.oracles import brute_isomorphism, brute_maximal_supports
 
@@ -207,3 +210,91 @@ def test_nonassociative_table_is_rejected_up_front():
         quasi_idempotents(T)
     with pytest.raises(NotAssociative):
         recover_by_ideal_products(T)
+
+
+# ---------------------------------------------------------------------------
+# recover_table, the one front door from a table to its poset
+
+
+def dim2_table():
+    # b0*b0 = b1: no quasi-idempotent, so the recovered poset is empty
+    return MultiplicationTable(2, {(0, 0): (Fraction(1), 1)})
+
+
+def lone_nilpotent_table():
+    # one idempotent and a nilpotent it fixes on both sides: one element,
+    # one comparable pair, dim 2
+    one = Fraction(1)
+    return MultiplicationTable(
+        2, {(0, 0): (one, 0), (0, 1): (one, 1), (1, 0): (one, 1)}
+    )
+
+
+def nonassociative_table():
+    return MultiplicationTable(2, {(0, 1): (Fraction(1), 0)})
+
+
+def cli_refusal(T, tmp_path, capsys):
+    """The exception posetalg recover raises on T, checking that main
+    reports its text after 'error: ', exits 2 and prints no stdout."""
+    p = tmp_path / "table.json"
+    p.write_text(T.to_json_text())
+    argv = ["recover", "--input", str(p)]
+    args = cli._build_parser().parse_args(argv)
+    with pytest.raises(PosetAlgebraError) as err:
+        args.func(args)
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: %s\n" % err.value)
+    return err.value
+
+
+SHAPE_REFUSALS = [
+    (dim2_table, "dim 2 but recovered poset has 0 comparable pairs"),
+    (
+        lambda: IncidenceAlgebra(chain(3), "irreflexive").multiplication_table(),
+        "dim 3 but recovered poset has 0 comparable pairs",
+    ),
+    (lone_nilpotent_table, "dim 2 but recovered poset has 1 comparable pairs"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    SHAPE_REFUSALS,
+    ids=["dim2", "irreflexive_chain3", "lone_nilpotent"],
+)
+def test_recover_table_refuses_what_recover_refuses(make, message, tmp_path, capsys):
+    T = make()
+    with pytest.raises(NoPosetBehindTable) as err:
+        recover_table(T)
+    assert str(err.value) == message
+    refusal = cli_refusal(T, tmp_path, capsys)
+    assert type(refusal) is NoPosetBehindTable and str(refusal) == message
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (c2_group_table, ClosureViolation),
+        (quiver_path_table, RecoveredRelationNotTransitive),
+        (nonassociative_table, NotAssociative),
+    ],
+    ids=["c2_group", "quiver_path", "nonassociative"],
+)
+def test_recover_table_raises_what_recover_reports(make, error, tmp_path, capsys):
+    T = make()
+    with pytest.raises(error) as err:
+        recover_table(T)
+    refusal = cli_refusal(T, tmp_path, capsys)
+    assert type(err.value) is type(refusal) is error
+    assert str(err.value) == str(refusal)
+
+
+def test_recover_table_is_both_routes_on_every_corpus_scramble(corpus_tables):
+    for T in corpus_tables:
+        puzzle = scramble(T, seed=1)
+        assert recover_table(puzzle) == (
+            recover_by_ideal_products(puzzle),
+            recover_by_links(puzzle),
+        )
