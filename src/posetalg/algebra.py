@@ -306,8 +306,8 @@ class MultiplicationTable:
     square[q] = c for each quasi-idempotent b_q b_q = c b_q; each is keyed
     only by indices that occur, so its size never follows dim.  Callers
     must not mutate them.
-    The constructor copies and checks the entries; from_json_text and
-    multiplication_table, whose rows are valid as made, skip both.
+    The constructor checks dim, then copies and checks the entries;
+    from_json_text and multiplication_table, valid as made, skip both.
 
     Associativity is settled once per table: first by certified(), which
     proves a rescaled incidence table associative in O(entries) with scales
@@ -319,6 +319,8 @@ class MultiplicationTable:
                  "_witness", "_certified")
 
     def __init__(self, dim, entries):
+        if type(dim) is not int or dim < 0:  # refuses bools, as from_json_text does
+            raise ValueError("dim must be a nonnegative integer, got %r" % (dim,))
         entries = dict(entries)
         for (i, j), (c, k) in entries.items():
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):

@@ -11,7 +11,12 @@ from operator import and_, or_
 from typing import NamedTuple
 
 from .algebra import IncidenceAlgebra
-from .errors import NoPosetBehindTable, PosetAlgebraError, SizeLimitExceeded
+from .errors import (
+    NoPosetBehindTable,
+    NotAssociative,
+    PosetAlgebraError,
+    SizeLimitExceeded,
+)
 from .ideals import (
     enumerate_ideals,
     ideal_generated_by,
@@ -404,35 +409,20 @@ def run_poset_checks(P, seeds=(1, 2), enum_cap=12, n_lists=3, rng_seed=7):
 
 
 def check_table(table):
-    """Validation plus double recovery for a bare table."""
-    results = []
-    witness = table.associativity_witness()
-    if witness is not None:
-        results.append(
-            _fail("table_associative", "NotAssociative witness %r" % (witness,))
-        )
-        return results
-    results.append(_ok("table_associative"))
-    results.append(
-        _ok("table_quasi_idempotents", "%d found" % len(quasi_idempotents(table)))
-    )
+    """Report of one recover_table call on a bare table: one line per stage
+    reached, table_associative, table_recovery, table_schemes_agree and
+    table_shape, stopping at the first that fails."""
     try:
         via_products, via_links = recover_table(table)
+    except NotAssociative as e:
+        return [_fail("table_associative", "NotAssociative witness %r" % (e.witness,))]
     except NoPosetBehindTable as e:
-        results.append(_fail("table_shape", str(e)))
-        return results
+        return [_ok("table_associative"), _fail("table_shape", str(e))]
     except PosetAlgebraError as e:
-        results.append(_fail("table_recovery", "%s: %s" % (type(e).__name__, e)))
-        return results
-    results.append(_ok("table_recovery"))
+        detail = "%s: %s" % (type(e).__name__, e)
+        return [_ok("table_associative"), _fail("table_recovery", detail)]
     if via_products == via_links:
-        results.append(_ok("table_schemes_agree"))
+        agree = _ok("table_schemes_agree")
     else:
-        results.append(
-            _fail(
-                "table_schemes_agree",
-                "%r vs %r" % (via_products, via_links),
-            )
-        )
-    results.append(_ok("table_shape"))
-    return results
+        agree = _fail("table_schemes_agree", "%r vs %r" % (via_products, via_links))
+    return [_ok("table_associative"), _ok("table_recovery"), agree, _ok("table_shape")]

@@ -227,6 +227,14 @@ def test_table_parse_errors():
         )
 
 
+@pytest.mark.parametrize("dim", [2.0, -1, True, "2"])
+def test_constructor_refuses_a_dim_it_cannot_write_back(dim):
+    # MultiplicationTable(2.0, {}) would write "dim": 2.0, which
+    # from_json_text refuses
+    with pytest.raises(ValueError, match="dim must be a nonnegative integer"):
+        MultiplicationTable(dim, {})
+
+
 def test_incidence_tables_are_associative():
     for P in (chain(4), diamond(), antichain(3)):
         for conv in ("reflexive", "irreflexive"):

@@ -5,10 +5,14 @@ import pytest
 from posetalg import (
     IncidenceAlgebra,
     MultiplicationTable,
+    Poset,
     chain,
+    diamond,
     format_poset,
     parse_poset,
+    scramble,
 )
+from posetalg import recovery
 from posetalg.cli import main
 
 
@@ -20,6 +24,10 @@ def chain3_file(tmp_path):
     p = tmp_path / "chain3.pos"
     p.write_text(CHAIN3_TEXT)
     return str(p)
+
+
+def dual(Q):
+    return Poset(Q.labels, Q.down)
 
 
 def run(capsys, *argv):
@@ -138,7 +146,7 @@ def test_good_table_check_exits_0(capsys, chain3_file, tmp_path):
     run(capsys, "export", "table", "--input", chain3_file, "--out", str(table_path))
     code, out, _ = run(capsys, "check", "--table", str(table_path))
     assert code == 0
-    assert "summary: 5 checks, 0 failed" in out
+    assert "summary: 4 checks, 0 failed" in out
 
 
 def test_dims_output(capsys, chain3_file):
@@ -264,6 +272,29 @@ def test_recover_refuses_table_with_no_poset(capsys, tmp_path):
     assert out == ""
     assert "dim 2 but recovered poset has 0 comparable pairs" in err
     assert not out_path.exists()
+
+
+def test_routes_that_disagree_exit_1(capsys, monkeypatch, tmp_path):
+    # the link route returns the dual, which diamond() shares its shape with
+    via_links = recovery.recover_by_links
+    monkeypatch.setattr(recovery, "recover_by_links", lambda t: dual(via_links(t)))
+    T = scramble(IncidenceAlgebra(diamond(), "reflexive").multiplication_table(), 1)
+    P = recovery.recover_by_ideal_products(T)
+    p = tmp_path / "diamond.json"
+    p.write_text(T.to_json_text())
+    code, out, err = run(capsys, "recover", "--input", str(p))
+    assert code == 1
+    assert out == (
+        "dim=%d\nquasi_idempotents=4\nschemes_agree=no\n" % T.dim + format_poset(P)
+    )
+    assert err == "second scheme differs:\n" + format_poset(dual(P))
+    code, out, _ = run(capsys, "check", "--table", str(p))
+    assert code == 1
+    assert out.splitlines()[-3:] == [
+        "check table_schemes_agree: FAIL %r vs %r" % (P, dual(P)),
+        "check table_shape: PASS",
+        "summary: 4 checks, 1 failed",
+    ]
 
 
 NOT_UTF8 = b"\xff\xfe"
