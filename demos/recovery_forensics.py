@@ -10,8 +10,10 @@ from posetalg import (
     ClosureViolation,
     IncidenceAlgebra,
     MultiplicationTable,
+    NoPosetBehindTable,
     RecoveredRelationNotTransitive,
     boolean_lattice,
+    chain,
     format_poset,
     quasi_idempotents,
     recover_by_ideal_products,
@@ -51,7 +53,7 @@ assert Q1 == Q2
 print("They agree, and the result is isomorphic to the original:",
       brute_isomorphism(P, Q1))
 
-# --- now two associative, monomial tables with no poset behind them ------
+# --- now three associative, monomial tables with no poset behind them ----
 
 one = Fraction(1)
 
@@ -82,5 +84,24 @@ try:
     recover_by_ideal_products(path)
 except RecoveredRelationNotTransitive as e:
     print("  RecoveredRelationNotTransitive:", e)
+
 print()
-print("Moral: run both schemes; honesty is in the cross-check.")
+print("Fraud 3: the 3-chain's table with the product [a,b][b,c] removed.")
+print("Both schemes agree on a 3-chain, and its 6 comparable pairs number")
+print("the table's dim, but the radical now squares to zero. Placing each")
+print("basis vector between the quasi-idempotents that act on it shows the")
+print("placed pairs compose in more ways than the table has products:")
+C3 = IncidenceAlgebra(chain(3), "reflexive")
+entries = dict(C3.multiplication_table().entries)
+del entries[C3.index[(0, 1)], C3.index[(1, 2)]]
+dropped = MultiplicationTable(C3.dim, entries)
+Q1, Q2 = recover_by_ideal_products(dropped), recover_by_links(dropped)
+assert Q1 == Q2 and Q1.n + Q1.strict_pair_count() == dropped.dim
+print("  both schemes return:", repr(Q1))
+try:
+    recover_table(dropped)
+except NoPosetBehindTable as e:
+    print("  NoPosetBehindTable:", e)
+print()
+print("Moral: run both schemes; honesty is in the cross-check, and the")
+print("verdict is the certificate's placement.")

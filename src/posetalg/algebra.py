@@ -23,6 +23,7 @@ from . import poset as _poset
 from .errors import (
     AlgebraMismatch,
     ConventionError,
+    NoPosetBehindTable,
     NoUnit,
     NotAssociative,
     NotMonomial,
@@ -379,44 +380,56 @@ class MultiplicationTable:
     def certified(self):
         """True when the table is shown to be a rescaled incidence table of
         a preorder, and hence associative, in O(entries).  Computed once.
-
-        Each index k is placed at (x, y): e_x is the one quasi-idempotent
-        with a product in left[k] and e_y the one with a product in
-        right[k], each acting on b_k by its own square's coefficient.  The
-        placement must be injective, the composable placed pairs must number
-        the entries, and scales s must give b_i b_j = (s_i s_j / s_k) b_k on
-        every entry, with k placed at (x_i, y_j).  Then k -> s_k E_xy maps
-        the table into the matrices as a span of scaled matrix units closed
-        under products, so the table is associative.  False says only that
-        no such certificate was found.
-        """
+        The table must be placed, and scales s must give b_i b_j =
+        (s_i s_j / s_k) b_k on every entry, with k placed at (x_i, y_j); then
+        k -> s_k E_xy maps the table onto a span of scaled matrix units closed
+        under products.  False says only that no certificate was found."""
         if self._certified is None:
             self._certified = self._certify()
         return self._certified
 
-    def _certify(self):
-        dim, entries, right, left = self.dim, self.entries, self.right, self.left
-        if len(left) < dim or len(right) < dim:
-            return False  # an index with no product on one side is not placed
-        square = self.square
+    def placement(self):
+        """(starts, ends), index k placed at (starts[k], ends[k]): the one
+        quasi-idempotent acting on b_k from the left, and from the right, each
+        by its square's coefficient.  Raises NoPosetBehindTable naming what fails
+        unless the placement is injective and its composable pairs number entries."""
+        dim, right, left = self.dim, self.right, self.left
+        if len(left) < dim or len(right) < dim:  # named before any dim-sized list
+            k = next(k for k in count() if k not in left or k not in right)
+            raise NoPosetBehindTable("index %d not placed" % k)
         starts = [None] * dim
         ends = [None] * dim
-        for q, c in square.items():
+        for q, c in self.square.items():
             for j, hit in right[q].items():
                 if starts[j] is not None or hit != (c, j):
-                    return False
+                    raise NoPosetBehindTable(_misplaced(j, starts[j], q))
                 starts[j] = q
             for i, hit in left[q].items():
                 if ends[i] is not None or hit != (c, i):
-                    return False
+                    raise NoPosetBehindTable(_misplaced(i, ends[i], q))
                 ends[i] = q
         if None in starts or None in ends or len(set(zip(starts, ends))) < dim:
+            at = {}
+            for k, xy in enumerate(zip(starts, ends)):
+                if None in xy:
+                    raise NoPosetBehindTable("index %d not placed" % k)
+                if at.setdefault(xy, k) != k:
+                    why = "indices %d and %d both placed at %r" % (at[xy], k, xy)
+                    raise NoPosetBehindTable(why)
+        leaving, n = Counter(starts), len(self.entries)
+        pairs = sum(m * leaving[q] for q, m in Counter(ends).items())
+        if pairs != n:
+            why = "%d entries but %d composable placed pairs" % (n, pairs)
+            raise NoPosetBehindTable(why)
+        return starts, ends
+
+    def _certify(self):
+        try:
+            starts, ends = self.placement()
+        except NoPosetBehindTable:
             return False
-        leaving = Counter(starts)
-        if sum(n * leaving[q] for q, n in Counter(ends).items()) != len(entries):
-            return False
-        # entries with a quasi-idempotent factor were checked as they placed
-        # an index; the rest are the equations s_i s_j = c s_k
+        entries, square = self.entries, self.square
+        # placement() checked the entries with a quasi-idempotent factor
         num, den = _solve_scales(self, square, starts, ends)
         for (i, j), (c, k) in entries.items():
             if i in square or j in square:
@@ -521,6 +534,12 @@ class MultiplicationTable:
                 raise NotMonomial("duplicate entry for product (%d, %d)" % (i, j))
             entries[(i, j)] = (c, k)
         return cls._checked(dim, entries)
+
+
+def _misplaced(k, other, q):  # q acts on b_k wrongly, or other placed k first
+    if other is None:
+        return "index %d not placed: quasi-idempotent %d does not fix it" % (k, q)
+    return "index %d claimed by quasi-idempotents %d and %d" % (k, other, q)
 
 
 def _coefficient(text, coeff, row):

@@ -29,12 +29,12 @@ Two independent routes:
 
 Both raise diagnostics (NotAssociative, NotMonomial, ClosureViolation,
 RecoveredRelationNotTransitive, CycleDetected) rather than repairing
-suspicious input.  recover_table, the front door, runs both and refuses a
-table whose recovered comparable pairs do not number dim (NoPosetBehindTable).
+suspicious input.  recover_table, the front door, runs both, then refuses a
+table that MultiplicationTable.placement() does not place.
 """
 
 from .algebra import IncidenceAlgebra, scramble_draws
-from .errors import ClosureViolation, NoPosetBehindTable, RecoveredRelationNotTransitive
+from .errors import ClosureViolation, RecoveredRelationNotTransitive
 from .poset import Pair, Poset, iterbits, transitive_closure
 
 
@@ -150,16 +150,12 @@ def recovered_links(table):
 
 
 def recover_table(table):
-    """The poset behind table by both routes, (via ideal products, via links).
-    Refuses the table unless the first has exactly table.dim comparable
-    pairs, the generators of its reflexive incidence algebra."""
+    """The poset behind table by both routes, (via ideal products, via links),
+    once table.placement() places it (a certified table is placed)."""
     via_products = recover_by_ideal_products(table)
     via_links = recover_by_links(table)
-    pairs = via_products.n + via_products.strict_pair_count()
-    if pairs != table.dim:
-        raise NoPosetBehindTable(
-            "dim %d but recovered poset has %d comparable pairs" % (table.dim, pairs)
-        )
+    if not table.certified():
+        table.placement()
     return via_products, via_links
 
 

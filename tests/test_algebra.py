@@ -10,6 +10,7 @@ from posetalg import (
     ConventionError,
     IncidenceAlgebra,
     MultiplicationTable,
+    NoPosetBehindTable,
     NoUnit,
     NotAssociative,
     NotMonomial,
@@ -22,6 +23,7 @@ from posetalg import (
     quasi_idempotents,
     recover_by_ideal_products,
     recover_by_links,
+    recover_table,
     scramble,
 )
 from posetalg.oracles import brute_associativity_witness, element_product_via_matrices
@@ -288,6 +290,8 @@ def test_product_index_never_allocates_per_dim():
         assert quasi_idempotents(T) == []
         assert recover_by_ideal_products(T) == Poset([], [])
         assert recover_by_links(T) == Poset([], [])
+        with pytest.raises(NoPosetBehindTable, match="^index 0 not placed$"):
+            recover_table(T)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

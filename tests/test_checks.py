@@ -27,6 +27,8 @@ from posetalg.checks import (
 )
 from posetalg.oracles import brute_closure_witness
 
+from test_recovery import dropped_composite_table
+
 import pytest
 
 
@@ -194,11 +196,11 @@ def test_check_table_flags_shape_mismatch():
     [
         (
             MultiplicationTable(2, {(0, 0): (Fraction(1), 1)}),
-            "dim 2 but recovered poset has 0 comparable pairs",
+            "index 1 not placed",
         ),
         (
             IncidenceAlgebra(chain(3), "irreflexive").multiplication_table(),
-            "dim 3 but recovered poset has 0 comparable pairs",
+            "index 0 not placed",
         ),
         (
             MultiplicationTable(
@@ -209,10 +211,11 @@ def test_check_table_flags_shape_mismatch():
                     (1, 0): (Fraction(1), 1),
                 },
             ),
-            "dim 2 but recovered poset has 1 comparable pairs",
+            "indices 0 and 1 both placed at (0, 0)",
         ),
+        (dropped_composite_table(), "9 entries but 10 composable placed pairs"),
     ],
-    ids=["dim2", "irreflexive_chain3", "lone_nilpotent"],
+    ids=["dim2", "irreflexive_chain3", "lone_nilpotent", "dropped_composite"],
 )
 def test_check_table_refuses_by_shape_alone(table, shape):
     # a table with no poset behind it fails table_shape, with the message

@@ -270,7 +270,7 @@ def test_recover_refuses_table_with_no_poset(capsys, tmp_path):
     code, out, err = run(capsys, "recover", "--input", str(p), "--out", str(out_path))
     assert code == 2
     assert out == ""
-    assert "dim 2 but recovered poset has 0 comparable pairs" in err
+    assert "index 1 not placed" in err
     assert not out_path.exists()
 
 

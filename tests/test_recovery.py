@@ -30,7 +30,11 @@ from posetalg import (
 )
 from posetalg import cli, recovery
 from posetalg.checks import run_poset_checks
-from posetalg.oracles import brute_isomorphism, brute_maximal_supports
+from posetalg.oracles import (
+    brute_associativity_witness,
+    brute_isomorphism,
+    brute_maximal_supports,
+)
 
 from _strategies import posets
 
@@ -249,20 +253,39 @@ def cli_refusal(T, tmp_path, capsys):
     return err.value
 
 
+DROPPED_COMPOSITE = (
+    '{"dim": 6, "entries": [[0,0,"1",0],[0,3,"1",3],[0,4,"1",4],[1,1,"1",1],'
+    '[1,5,"1",5],[2,2,"1",2],[3,1,"1",3],[4,2,"1",4],[5,2,"1",5]]}'
+)
+
+
+def dropped_composite_table():
+    """chain(3)'s table without the product [a,b][b,c]: associative, with
+    as many comparable pairs as dim, but its radical squares to zero, so
+    its quiver has 3 arrows where I(chain(3)) has 2."""
+    A = IncidenceAlgebra(chain(3), "reflexive")
+    entries = dict(A.multiplication_table().entries)
+    del entries[A.index[(0, 1)], A.index[(1, 2)]]
+    T = MultiplicationTable(A.dim, entries)
+    assert T == MultiplicationTable.from_json_text(DROPPED_COMPOSITE)
+    return T
+
+
 SHAPE_REFUSALS = [
-    (dim2_table, "dim 2 but recovered poset has 0 comparable pairs"),
+    (dim2_table, "index 1 not placed"),
     (
         lambda: IncidenceAlgebra(chain(3), "irreflexive").multiplication_table(),
-        "dim 3 but recovered poset has 0 comparable pairs",
+        "index 0 not placed",
     ),
-    (lone_nilpotent_table, "dim 2 but recovered poset has 1 comparable pairs"),
+    (lone_nilpotent_table, "indices 0 and 1 both placed at (0, 0)"),
+    (dropped_composite_table, "9 entries but 10 composable placed pairs"),
 ]
 
 
 @pytest.mark.parametrize(
     "make, message",
     SHAPE_REFUSALS,
-    ids=["dim2", "irreflexive_chain3", "lone_nilpotent"],
+    ids=["dim2", "irreflexive_chain3", "lone_nilpotent", "dropped_composite"],
 )
 def test_recover_table_refuses_what_recover_refuses(make, message, tmp_path, capsys):
     T = make()
@@ -271,6 +294,25 @@ def test_recover_table_refuses_what_recover_refuses(make, message, tmp_path, cap
     assert str(err.value) == message
     refusal = cli_refusal(T, tmp_path, capsys)
     assert type(refusal) is NoPosetBehindTable and str(refusal) == message
+
+
+def test_dropped_composite_table_fits_the_pair_count(tmp_path, capsys):
+    # what a count of the recovered pairs accepted: both routes agree on a
+    # 3-chain with dim comparable pairs; the placement refuses it (see
+    # SHAPE_REFUSALS), so check --table fails table_shape with exit 1
+    T = dropped_composite_table()
+    assert brute_associativity_witness(T) is None
+    P = recover_by_ideal_products(T)
+    assert P == recover_by_links(T) and brute_isomorphism(P, chain(3))
+    assert P.n + P.strict_pair_count() == T.dim
+    p = tmp_path / "table.json"
+    p.write_text(T.to_json_text())
+    assert cli.main(["check", "--table", str(p)]) == 1
+    assert capsys.readouterr().out == (
+        "check table_associative: PASS\n"
+        "check table_shape: FAIL 9 entries but 10 composable placed pairs\n"
+        "summary: 2 checks, 1 failed\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -2,14 +2,17 @@
 oracles.py: same results, same witnesses, same exception types."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 from posetalg import (
     IncidenceAlgebra,
     MultiplicationTable,
+    NoPosetBehindTable,
     PosetAlgebraError,
     boolean_lattice,
     chain,
@@ -71,6 +74,19 @@ def assert_matches_oracles(T):
         assert outcome(principal_support, T, i) == outcome(
             brute_principal_support, T, i
         )
+    # placement is never weaker than counting the recovered poset's pairs:
+    # when both routes return and the table is placed, the strict pairs
+    # are the placed pairs off the diagonal, so with it they number dim
+    try:
+        P = recover_by_ideal_products(T)
+        recover_by_links(T)
+        starts, ends = T.placement()
+    except PosetAlgebraError:
+        return
+    pos = {q: x for x, q in enumerate(quasi_idempotents(T))}
+    placed = {(pos[x], pos[y]) for x, y in zip(starts, ends) if x != y}
+    assert set(P.strict_pairs()) == placed
+    assert P.n + P.strict_pair_count() == T.dim
 
 
 @st.composite
@@ -204,6 +220,63 @@ def test_duplicated_index_is_not_certified():
     assert witness is not None and T.associativity_witness() == witness
 
 
+def test_placement_names_what_failed():
+    # recover_table meets these only after NotAssociative; its own refusals,
+    # including two indices at one pair and the entry count, are pinned in
+    # test_recovery.SHAPE_REFUSALS
+    one, two = Fraction(1), Fraction(2)
+    cases = [
+        # both indices have products, none with a quasi-idempotent
+        (2, {(0, 1): (one, 0), (1, 0): (one, 0)}, "index 0 not placed"),
+        # b_0 b_0 = b_0 but b_0 b_1 = 2 b_1
+        (
+            2,
+            {(0, 0): (one, 0), (0, 1): (two, 1), (1, 0): (one, 1)},
+            "index 1 not placed: quasi-idempotent 0 does not fix it",
+        ),
+        # b_0 b_2 = b_1 b_2 = b_2
+        (
+            3,
+            {(0, 0): (one, 0), (1, 1): (one, 1), (0, 2): (one, 2),
+             (1, 2): (one, 2), (2, 1): (one, 2)},
+            "index 2 claimed by quasi-idempotents 0 and 1",
+        ),
+    ]
+    for dim, entries, message in cases:
+        T = MultiplicationTable(dim, entries)
+        with pytest.raises(NoPosetBehindTable) as err:
+            T.placement()
+        assert str(err.value) == message
+        assert not T.certified()
+
+
+def projective_plane():
+    """The face poset of the 6-vertex triangulation of the real projective
+    plane: 6 vertices, 15 edges and 10 triangles, ordered by inclusion."""
+    triangles = ("123", "134", "145", "156", "126", "235", "346", "245", "356", "246")
+    faces = sorted(
+        {"".join(f) for t in triangles for r in (1, 2, 3) for f in combinations(t, r)},
+        key=lambda f: (len(f), f),
+    )
+    relations = [(f, g) for f in faces for g in faces if f != g and set(f) <= set(g)]
+    return poset_from_relations(faces, relations)
+
+
+def test_rescaled_incidence_tables_are_placed_where_the_scales_are_not_solved():
+    # e_x = s_x [x,x] acts on s_k [x,y] by s_x whatever the scales, so each
+    # scramble is placed, though the scale solve misses most of them here
+    A = IncidenceAlgebra(projective_plane(), "reflexive")
+    T = A.multiplication_table()
+    starts, ends = T.placement()
+    assert list(zip(starts, ends)) == [
+        (A.index[(x, x)], A.index[(y, y)]) for x, y in A.generators
+    ]
+    puzzles = [scramble(T, seed) for seed in range(1, 11)]
+    assert not all(puzzle.certified() for puzzle in puzzles)
+    for puzzle in puzzles:
+        puzzle.placement()
+
+
 def test_scrambled_corpus_tables_are_certified(corpus_tables):
     for T in corpus_tables:
         for seed in (1, 2, 3):
@@ -248,16 +321,8 @@ def test_twisted_sphere_table_is_not_certified_but_associative():
 
 
 def solved_scales(T):
-    """_solve_scales on a certified table, each index placed at the
-    quasi-idempotents with a product on it."""
-    square = T.square
-    starts, ends = [None] * T.dim, [None] * T.dim
-    for q in square:
-        for j in T.right[q]:
-            starts[j] = q
-        for i in T.left[q]:
-            ends[i] = q
-    return square, _solve_scales(T, square, starts, ends)
+    """_solve_scales on a certified table, at its placement."""
+    return T.square, _solve_scales(T, T.square, *T.placement())
 
 
 def test_solved_scales_are_lowest_terms_ints_that_fit_every_equation(corpus_tables):
