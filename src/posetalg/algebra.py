@@ -127,10 +127,6 @@ class IncidenceAlgebra:
     def generator(self, key):
         return AlgebraElement(self, {self._gen_index(key): Fraction(1)})
 
-    def generator_by_labels(self, xlab, ylab):
-        p = Pair(self.poset.index(xlab), self.poset.index(ylab))
-        return self.generator(p)
-
     def zero(self):
         return AlgebraElement(self, {})
 
@@ -193,19 +189,6 @@ class IncidenceAlgebra:
 
     # -- views
 
-    def to_matrix(self, f):
-        """Upper-triangular matrix of f under the natural labeling."""
-        self._claim(f)
-        n = self.poset.n
-        pos = [0] * n
-        for k, x in enumerate(_poset.natural_labeling(self.poset)):
-            pos[x] = k
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for i, c in f.coeffs.items():
-            x, y = self.generators[i]
-            mat[pos[x]][pos[y]] = c
-        return mat
-
     def multiplication_table(self):
         index = self.index
         one = Fraction(1)
@@ -215,18 +198,6 @@ class IncidenceAlgebra:
             for j, v in self.by_first[y]:
                 entries[(i, j)] = (one, index[Pair(x, v)])
         return MultiplicationTable._checked(self.dim, entries)
-
-    def nilpotency_index(self):
-        """Smallest k with every k-fold generator product zero; None if unital."""
-        if self.convention == "reflexive" and self.poset.n > 0:
-            return None
-        right = self.multiplication_table().right
-        live = set(range(self.dim))
-        k = 1
-        while live:
-            live = {t for i in live for _, t in right.get(i, {}).values()}
-            k += 1
-        return k
 
     def __repr__(self):
         return "<IncidenceAlgebra %s dim=%d %s>" % (
@@ -324,6 +295,11 @@ class MultiplicationTable:
             raise ValueError("dim must be a nonnegative integer, got %r" % (dim,))
         entries = dict(entries)
         for (i, j), (c, k) in entries.items():
+            # what from_json_text refuses, bools included, ahead of the range test
+            ints = type(i) is int and type(j) is int and type(k) is int
+            if not ints or type(c) not in (int, Fraction):
+                why = "indices must be ints and the coefficient an int or Fraction"
+                raise ValueError("table entry (%r,%r)->(%r,%r): %s" % (i, j, c, k, why))
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError("table entry (%d,%d)->%d out of range" % (i, j, k))
             if not c:

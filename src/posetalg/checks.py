@@ -369,10 +369,10 @@ def check_scramble_identity(P, table):
 
 def check_roundtrip(P, seeds):
     try:
-        report = verify_roundtrip(P, seeds)
+        rows = verify_roundtrip(P, seeds)
     except PosetAlgebraError as e:
         return _fail("roundtrip", "%r raised %s: %s" % (P, type(e).__name__, e))
-    for r in report.results:
+    for r in rows:
         if not r["passed"]:
             return _fail("roundtrip", "%r seed %d: %r" % (P, r["seed"], r))
     return _ok("roundtrip")

@@ -301,6 +301,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "dims" and not 1 <= args.max_degree <= MAX_PROBE_DEGREE:
         parser.error("--max-degree must be between 1 and %d" % MAX_PROBE_DEGREE)
+    if getattr(args, "cap", 0) < 0:  # ideals, check and export
+        parser.error("--cap must be 0 or more")
     try:
         return args.func(args)
     except (PosetAlgebraError, OSError) as e:

@@ -3,7 +3,9 @@
 Everything here is the direct quantifier-chasing definition with no clever
 data structure, so agreement with the fast implementations is meaningful
 evidence rather than a shared bug. Every exhaustive search is capped at
-sizes where it stays instant. The table oracles at the end read a
+sizes where it stays instant. to_matrix and nilpotency_index are the
+literal definitions that element_product_via_matrices and acceptance
+criterion 6 check against. The table oracles at the end read a
 multiplication table only through its entry dict, never through its index
 of present products, and rescan that dict wherever a definition quantifies
 over products. The linear-algebra references (brute_rank, subspace_closure)
@@ -198,12 +200,39 @@ def matrix_product(a, b):
     ]
 
 
+def to_matrix(f):
+    """Upper-triangular matrix of f under the natural labeling."""
+    A = f.algebra
+    n = A.poset.n
+    pos = [0] * n
+    for k, x in enumerate(natural_labeling(A.poset)):
+        pos[x] = k
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for i, c in f.coeffs.items():
+        x, y = A.generators[i]
+        mat[pos[x]][pos[y]] = c
+    return mat
+
+
+def nilpotency_index(A):
+    """Smallest k with every k-fold generator product zero; None if unital."""
+    if A.convention == "reflexive" and A.poset.n > 0:
+        return None
+    right = A.multiplication_table().right
+    live = set(range(A.dim))
+    k = 1
+    while live:
+        live = {t for i in live for _, t in right.get(i, {}).values()}
+        k += 1
+    return k
+
+
 def element_product_via_matrices(f, g):
     """Multiply two algebra elements through their dense matrix images."""
     A = f.algebra
     A._claim(g)
     order = natural_labeling(A.poset)
-    m = matrix_product(A.to_matrix(f), A.to_matrix(g))
+    m = matrix_product(to_matrix(f), to_matrix(g))
     coeffs = {}
     for ix, x in enumerate(order):
         for iy, y in enumerate(order):

@@ -159,20 +159,6 @@ def recover_table(table):
     return via_products, via_links
 
 
-class RoundtripReport:
-    """Outcome of scramble-and-recover runs over several seeds."""
-
-    __slots__ = ("poset", "results")
-
-    def __init__(self, poset, results):
-        self.poset = poset
-        self.results = results
-
-    @property
-    def all_passed(self):
-        return all(r["passed"] for r in self.results)
-
-
 def _renamed(P, image):
     """P as recovery names it when element x sits at basis index image[x]:
     labelled e<image[x]> and listed in increasing image order."""
@@ -184,9 +170,9 @@ def _renamed(P, image):
 
 def verify_roundtrip(P, seeds):
     """Scramble the reflexive table of P for each seed and recover it with
-    recover_table.  A seed passes when both routes return exactly P renamed
-    by the scramble's own permutation of the diagonal generators; the
-    *_exact flags record that per route."""
+    recover_table; one row per seed.  A seed passes when both routes return
+    exactly P renamed by the scramble's own permutation of the diagonal
+    generators; the *_exact flags record that per route."""
     A = IncidenceAlgebra(P, "reflexive")
     table = A.multiplication_table()
     diagonal = [A.index[Pair(x, x)] for x in range(P.n)]
@@ -207,4 +193,4 @@ def verify_roundtrip(P, seeds):
                 "passed": exact_a and exact_b,
             }
         )
-    return RoundtripReport(P, results)
+    return results

@@ -55,18 +55,6 @@ class RewriteSystem:
                 raise ValueError("left side %r is not 2 or 3 letters" % (lhs,))
         self.poset, self.triple_convention, self.rules = poset, triple_convention, rules
 
-    def sorted_rules(self):
-        return sorted(self.rules.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def rule_strings(self):
-        labs = self.poset.labels
-        out = []
-        for lhs, rhs in self.sorted_rules():
-            left = " ".join(labs[i] for i in lhs)
-            right = "0" if rhs is None else " ".join(labs[i] for i in rhs)
-            out.append("%s -> %s" % (left, right))
-        return out
-
     def __repr__(self):
         return "<RewriteSystem %s %s, %d rules>" % (
             ",".join(self.poset.labels),

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import re
 import tracemalloc
 
 from hypothesis import given, settings
@@ -26,7 +27,12 @@ from posetalg import (
     recover_table,
     scramble,
 )
-from posetalg.oracles import brute_associativity_witness, element_product_via_matrices
+from posetalg.oracles import (
+    brute_associativity_witness,
+    element_product_via_matrices,
+    nilpotency_index,
+    to_matrix,
+)
 
 from _strategies import elements_of, posets
 
@@ -61,12 +67,16 @@ def test_pair_poset_is_reflexive_only():
 
 def test_monomial_products():
     A = A_of(chain(3))
-    ab = A.generator_by_labels("a", "b")
-    bc = A.generator_by_labels("b", "c")
-    ac = A.generator_by_labels("a", "c")
+
+    def gen(x, y):
+        return A.generator((A.poset.index(x), A.poset.index(y)))
+
+    ab = gen("a", "b")
+    bc = gen("b", "c")
+    ac = gen("a", "c")
     assert A.multiply(ab, bc) == ac
     assert not A.multiply(bc, ab)
-    aa = A.generator_by_labels("a", "a")
+    aa = gen("a", "a")
     assert A.multiply(aa, aa) == aa
     assert A.multiply(aa, ab) == ab
     assert not A.multiply(ab, aa)
@@ -169,7 +179,7 @@ def test_matrices_are_upper_triangular(data):
     P = data.draw(posets(max_n=5))
     A = A_of(P)
     f = data.draw(elements_of(A))
-    m = A.to_matrix(f)
+    m = to_matrix(f)
     assert len(m) == P.n
     for i in range(P.n):
         for j in range(i):
@@ -235,6 +245,39 @@ def test_constructor_refuses_a_dim_it_cannot_write_back(dim):
     # from_json_text refuses
     with pytest.raises(ValueError, match="dim must be a nonnegative integer"):
         MultiplicationTable(dim, {})
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda: MultiplicationTable(1, {(0, 0): (0.5, 0)}), "(0,0)->(0.5,0): indices"),
+        (lambda: MultiplicationTable(1, {(0, 0): ("1", 0)}), "(0,0)->('1',0): indices"),
+        (lambda: MultiplicationTable(1, {(0, 0): (True, 0)}), "(0,0)->(True,0): indices"),
+        (lambda: MultiplicationTable(1, {(0.0, 0): (1, 0)}), "(0.0,0)->(1,0): indices"),
+        (lambda: MultiplicationTable(2, {(0, 0): (1, True)}), "(0,0)->(1,True): indices"),
+        (
+            lambda: A_of(chain(2)).multiplication_table().permuted_rescaled(
+                [0, 1, 2], [0.5] * 3
+            ),
+            "(0,0)->(0.5,0): indices must be ints and the coefficient an int or",
+        ),
+    ],
+    ids=["float", "str", "bool", "float_index", "bool_index", "float_scales"],
+)
+def test_constructor_refuses_what_from_json_text_refuses(make, named):
+    # each of these used to build a table that crashed certified() or
+    # recover_table later
+    with pytest.raises(ValueError, match=re.escape(named)):
+        make()
+
+
+def test_constructor_takes_int_and_fraction_coefficients():
+    # chain(2)'s table with [a,a] rescaled by 2, coefficients mixed
+    T = MultiplicationTable(
+        3, {(0, 0): (2, 0), (0, 2): (Fraction(2), 2), (1, 1): (1, 1), (2, 1): (1, 2)}
+    )
+    assert T.certified()
+    assert recover_table(T) == (Poset(["e0", "e1"], [0b10, 0]),) * 2
 
 
 def test_incidence_tables_are_associative():
@@ -363,6 +406,6 @@ def test_nilpotency_indices():
         (parse_poset("elements:\n"), 1),
     ]
     for P, want in cases:
-        assert A_of(P, "irreflexive").nilpotency_index() == want
-    assert A_of(chain(3)).nilpotency_index() is None
-    assert A_of(parse_poset("elements:\n")).nilpotency_index() == 1
+        assert nilpotency_index(A_of(P, "irreflexive")) == want
+    assert nilpotency_index(A_of(chain(3))) is None
+    assert nilpotency_index(A_of(parse_poset("elements:\n"))) == 1

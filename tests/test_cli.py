@@ -204,6 +204,33 @@ def test_argparse_rejects_bad_choices(chain3_file):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--poset", "P", "--cap", "-3"],
+        ["check", "--corpus", "exhaustive4", "--cap", "-1"],
+        ["ideals", "--input", "P", "--cap", "-1"],
+        ["export", "ideal-lattice", "--input", "P", "--cap", "-1"],
+    ],
+    ids=["check_poset", "check_corpus", "ideals", "export"],
+)
+def test_negative_cap_is_malformed_input(argv, capsys, chain3_file):
+    # check --cap -3 used to read "PASS (0 posets, 1 skipped)" for every
+    # capped check and exit 0
+    argv = [chain3_file if a == "P" else a for a in argv]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--cap must be 0 or more" in out.err
+
+
+def test_cap_zero_is_valid(capsys, chain3_file):
+    code, out, _ = run(capsys, "check", "--poset", chain3_file, "--cap", "0")
+    assert code == 0
+    assert "check ideal_count: PASS (0 posets, 1 skipped)" in out.splitlines()
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 
