@@ -9,8 +9,9 @@ criterion 6 check against. The table oracles at the end read a
 multiplication table only through its entry dict, never through its index
 of present products, and rescan that dict wherever a definition quantifies
 over products. The linear-algebra references (brute_rank, subspace_closure)
-are what tests hold linalg.py to; the check suite itself runs on
-linalg.ideal_closure.
+are what tests hold linalg.py to. The check suite imports nothing from
+here: it runs on linalg.ideal_closure, counts antichains by a memoised
+split, and reads product supports off the multiplication table.
 """
 
 from fractions import Fraction

@@ -309,6 +309,30 @@ def _up_closed_masks(n, above, below):
         stack.append((undecided & ~forced_in, current | forced_in))
 
 
+def _antichain_count(above, below):
+    # an antichain of the undecided mask U leaves out its lowest element i,
+    # or holds it and nothing comparable to it; counts memoised on U, the
+    # split worked on a stack: no recursion limit on the size
+    memo = {0: 1}
+    stack = [(1 << len(above)) - 1]
+    while stack:
+        undecided = stack[-1]
+        if undecided in memo:
+            stack.pop()
+            continue
+        low = undecided & -undecided
+        i = low.bit_length() - 1
+        without = undecided ^ low
+        apart = without & ~(above[i] | below[i])
+        missing = [m for m in (without, apart) if m not in memo]
+        if missing:
+            stack.extend(missing)
+        else:
+            memo[undecided] = memo[without] + memo[apart]
+            stack.pop()
+    return memo[(1 << len(above)) - 1]
+
+
 def enumerate_up_sets(G, cap=20):
     """All upward-closed subsets of a PairPoset, as bitmasks (generator)."""
     if G.size > cap:

@@ -10,6 +10,8 @@ from posetalg import (
     chain,
     diamond,
     enumerate_ideals,
+    ideal_product,
+    indecomposable_ideals,
     maximal_ideals,
     poset_from_relations,
     random_poset,
@@ -51,15 +53,15 @@ def test_suite_skips_when_over_cap():
     assert all(r.passed for r in results)
 
 
-def test_ideal_count_skips_past_the_antichain_oracle():
-    # 16 comparable pairs: inside the enumeration cap, past the oracle's 15
+def test_ideal_count_runs_past_fifteen_pairs():
+    # 16 comparable pairs: the count has no size limit of its own, so only
+    # the enumeration cap decides whether the check runs
     P = poset_from_relations("abcdef", list(zip("abcd", "bcde")))
     results = run_poset_checks(P, enum_cap=16)
     by_name = {r.name: r for r in results}
-    assert by_name["ideal_count"].skipped
-    assert "subset filter capped at 15" in by_name["ideal_count"].detail
+    assert by_name["ideal_count"] == ("ideal_count", True, "", False)
     assert all(r.passed for r in results)
-    assert sum(r.skipped for r in results) == 1
+    assert not any(r.skipped for r in results)
 
 
 def test_maximality_catches_a_missing_maximal_ideal(monkeypatch):
@@ -265,6 +267,20 @@ def test_product_lemma_closed_form_leg_catches_a_wrong_product(monkeypatch):
     assert not r.passed and "want" in r.detail
 
 
+def test_product_lemma_span_leg_matches_multiply(corpus, corpus_algebras):
+    # the span leg's old content, kept as the oracle: the support of the
+    # product of two coefficient-1 sums, multiplied out in Fraction
+    for P, A in zip(corpus, corpus_algebras):
+        principals = indecomposable_ideals(A)
+        sums = [A.element({a: 1 for a in I.pair_indices()}) for I in principals]
+        for I, f in zip(principals, sums):
+            for J, g in zip(principals, sums):
+                want = ideal_product(I, J).pair_indices()
+                assert A.multiply(f, g).support() == want, (P, I, J)
+        # and the leg, which reads the table instead, agrees with both
+        assert checks.check_product_lemma(P, A).passed, P
+
+
 def test_span_corollary_catches_a_wrong_closure(monkeypatch):
     P = chain(2)
     A = IncidenceAlgebra(P, "reflexive")
@@ -283,9 +299,14 @@ def test_span_corollary_catches_a_wrong_closure(monkeypatch):
     assert not r.passed and "closure dim 0 vs up-set size 1" in r.detail
 
 
-def test_product_lemma_span_leg_catches_a_wrong_multiply(monkeypatch):
+def test_product_lemma_span_leg_catches_a_wrong_table(monkeypatch):
     P = chain(2)
     A = IncidenceAlgebra(P, "reflexive")
-    monkeypatch.setattr(IncidenceAlgebra, "multiply", lambda self, f, g: self.zero())
+    table = A.multiplication_table()
+    # drop the entry b_[a,a] b_[a,b] = b_[a,b]
+    entries = {key: hit for key, hit in table.entries.items() if key != (0, 2)}
+    assert len(entries) == len(table.entries) - 1
+    broken = MultiplicationTable(table.dim, entries)
+    monkeypatch.setattr(IncidenceAlgebra, "multiplication_table", lambda self: broken)
     r = checks.check_product_lemma(P, A)
     assert not r.passed and "span oracle disagrees" in r.detail

@@ -1,5 +1,6 @@
 import hashlib
 from itertools import islice
+from math import comb
 import re
 import sys
 
@@ -45,7 +46,7 @@ from posetalg.oracles import (
     brute_pair_nesting,
     brute_up_closed_masks,
 )
-from posetalg.poset import _check_label, all_pairs, transitive_closure
+from posetalg.poset import _antichain_count, _check_label, all_pairs, transitive_closure
 
 from _strategies import posets
 
@@ -285,6 +286,29 @@ def test_up_set_enumeration_matches_brute_force(P):
     got = sorted(enumerate_up_sets(G))
     assert got == brute_up_closed_masks(G.size, G.wider)
     assert len(got) == brute_antichain_count(G.size, G.wider)
+
+
+def test_antichain_count_matches_the_subset_filter(corpus):
+    counted = 0
+    for P in corpus:
+        G = PairPoset(P)
+        if G.size <= 15:
+            counted += 1
+            want = brute_antichain_count(G.size, G.wider)
+            assert _antichain_count(G.wider, G.narrower) == want, P
+    assert counted == 333
+
+
+def test_antichain_count_closed_forms():
+    for n in range(11):
+        G = PairPoset(chain(n))
+        # Catalan number C(n+1)
+        assert _antichain_count(G.wider, G.narrower) == comb(2 * n + 2, n + 1) // (n + 2)
+        G = PairPoset(antichain(n))
+        assert _antichain_count(G.wider, G.narrower) == 2 ** n
+    # the split runs on a stack, not the call stack
+    G = PairPoset(antichain(1200))
+    assert _antichain_count(G.wider, G.narrower) == 2 ** 1200
 
 
 def test_up_set_cap():
