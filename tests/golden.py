@@ -147,6 +147,8 @@ GROUPS = {
     "export-hasse": _poset_command("export", "hasse"),
     "export-pairs": _poset_command("export", "pairs"),
     "export-table": _poset_command("export", "table"),
+    "dims-allow": _poset_command("dims", "--max-degree", "32", "--triples", "allow_repeats"),
+    "dims-distinct": _poset_command("dims", "--max-degree", "32", "--triples", "distinct_only"),
     "recover-text": _scramble_command("recover", "--input", "-"),
     "recover-dot": _scramble_command("recover", "--input", "-", "--format", "dot"),
     "check-table": _scramble_command("check", "--table", "-"),
