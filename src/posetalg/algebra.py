@@ -56,7 +56,7 @@ class IncidenceAlgebra:
     """
 
     __slots__ = ("poset", "convention", "generators", "index", "by_first",
-                 "by_second", "_pair_poset")
+                 "by_second", "_pair_poset", "_table")
 
     def __init__(self, poset, convention="reflexive"):
         if convention not in ("reflexive", "irreflexive"):
@@ -79,6 +79,7 @@ class IncidenceAlgebra:
         self.by_first = by_first
         self.by_second = by_second
         self._pair_poset = None
+        self._table = None
 
     @property
     def dim(self):
@@ -190,14 +191,18 @@ class IncidenceAlgebra:
     # -- views
 
     def multiplication_table(self):
-        index = self.index
-        one = Fraction(1)
-        entries = {}
-        for i, (x, y) in enumerate(self.generators):
-            # x <= y <= v gives x <= v, strict when y < v
-            for j, v in self.by_first[y]:
-                entries[(i, j)] = (one, index[Pair(x, v)])
-        return MultiplicationTable._checked(self.dim, entries)
+        """The structure constants, built on the first call; later calls
+        return the same table, which callers must not mutate."""
+        if self._table is None:
+            index = self.index
+            one = Fraction(1)
+            entries = {}
+            for i, (x, y) in enumerate(self.generators):
+                # x <= y <= v gives x <= v, strict when y < v
+                for j, v in self.by_first[y]:
+                    entries[(i, j)] = (one, index[Pair(x, v)])
+            self._table = MultiplicationTable._checked(self.dim, entries)
+        return self._table
 
     def __repr__(self):
         return "<IncidenceAlgebra %s dim=%d %s>" % (

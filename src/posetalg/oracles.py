@@ -116,6 +116,32 @@ def brute_isomorphism(P, Q):
     return None
 
 
+def brute_rewrite_rules(P, triple_convention):
+    """The rules of build_rewrite_system by testing every triple with P.leq,
+    in the same insertion order."""
+    rules = {}
+    n = P.n
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            if P.strict(a, b):
+                rules[(b, a)] = None
+            rules[(a, b, a)] = None
+    distinct = triple_convention == "distinct_only"
+    for a in range(n):
+        for b in range(n):
+            if not P.leq(a, b):
+                continue
+            for c in range(n):
+                if not P.leq(b, c):
+                    continue
+                if distinct and (a == b or b == c or a == c):
+                    continue
+                rules[(a, b, c)] = (a, c)
+    return rules
+
+
 def brute_dimension_up_to(R, max_degree):
     """Cumulative count of the distinct normal forms of all words of degree
     <= d, for each d up to max_degree, by reducing every word."""

@@ -24,10 +24,13 @@ an irreducible word is its own normal form; as no rule lengthens a word, the
 normal forms of the words of degree <= d are exactly the irreducible words of
 length 1..d.  dimension_up_to counts those over states that are the last two
 letters of a word (Ufnarovski's graph: V. Ufnarovski, "A growth criterion for
-graphs and algebras defined by words", 1982), extending a state (a, b) by c
-when neither b c nor a b c is a left side, in O(d n^3).  The literal
-definition, reducing all n^d words of each degree, is
-oracles.brute_dimension_up_to.
+graphs and algebras defined by words", 1982).  The state of an irreducible
+pair a b is the integer a*n + b, and its successor row lists the states
+b*n + c of the letters c for which neither b c nor a b c is a left side,
+read off bitmasks of the rules; each degree pushes counts along the rows,
+in O(d n^3).  The literal definition, reducing all n^d words of each
+degree, is oracles.brute_dimension_up_to, and the literal rule builder,
+testing every triple with P.leq, is oracles.brute_rewrite_rules.
 
 Stabilization of the graded dimensions is promised under neither convention.
 Under 'distinct_only' a poset with no 3-chain has no shortening rule: on
@@ -36,6 +39,7 @@ d(d+3)/2.  Even 'allow_repeats' grows on antichain(2): 2, 6, 10, 14, 18, 22.
 """
 
 from .errors import WordLengthExceeded
+from .poset import iterbits
 
 MAX_WORD_LEN = 12
 MAX_PROBE_DEGREE = 32
@@ -43,17 +47,35 @@ MAX_PROBE_DEGREE = 32
 
 class RewriteSystem:
     """Rule set for one poset and triple convention.  Rules map a left side
-    (tuple of element indices) to a shorter tuple or None for zero.  A left
-    side must have 2 or 3 letters, the only windows reduction matches."""
+    (tuple of element indices) to a shorter nonempty tuple or None for zero.
+    A left side must have 2 or 3 letters, the only windows reduction
+    matches, and every letter must be an element index 0..n-1, the only
+    letters dimension_up_to counts."""
 
     __slots__ = ("poset", "triple_convention", "rules")
 
     def __init__(self, poset, triple_convention, rules):
         rules = dict(rules)
-        for lhs in rules:
+        n = poset.n
+        for lhs, rhs in rules.items():
             if len(lhs) not in (2, 3):
                 raise ValueError("left side %r is not 2 or 3 letters" % (lhs,))
+            if rhs is not None and not rhs:
+                # the empty word would be a normal form no count includes
+                raise ValueError("rule %r has an empty right side" % (lhs,))
+            for i in (*lhs, *(rhs or ())):
+                if not (isinstance(i, int) and 0 <= i < n):
+                    raise ValueError(
+                        "rule %r -> %r: letter %r is not an element index"
+                        % (lhs, rhs, i)
+                    )
         self.poset, self.triple_convention, self.rules = poset, triple_convention, rules
+
+    @classmethod
+    def _checked(cls, poset, triple_convention, rules):
+        R = cls.__new__(cls)  # of rules valid as made, not copied
+        R.poset, R.triple_convention, R.rules = poset, triple_convention, rules
+        return R
 
     def __repr__(self):
         return "<RewriteSystem %s %s, %d rules>" % (
@@ -75,19 +97,16 @@ def build_rewrite_system(P, triple_convention="allow_repeats"):
             if P.strict(a, b):
                 rules[(b, a)] = None
             rules[(a, b, a)] = None
-    distinct = triple_convention == "distinct_only"
+    # the elements above a, itself included unless the triples are distinct;
+    # a < b < c are distinct anyway.  a <= b <= a forces a == b, so no
+    # clash with rule (ii)
+    repeat = triple_convention == "allow_repeats"
+    above = [P.up[a] | (1 << a if repeat else 0) for a in range(n)]
     for a in range(n):
-        for b in range(n):
-            if not P.leq(a, b):
-                continue
-            for c in range(n):
-                if not P.leq(b, c):
-                    continue
-                if distinct and (a == b or b == c or a == c):
-                    continue
-                # a <= b <= a forces a == b, so no clash with rule (ii)
+        for b in iterbits(above[a]):
+            for c in iterbits(above[b]):
                 rules[(a, b, c)] = (a, c)
-    return RewriteSystem(P, triple_convention, rules)
+    return RewriteSystem._checked(P, triple_convention, rules)
 
 
 def _match_at(R, word, p):
@@ -134,7 +153,10 @@ def dimension_up_to(R, max_degree):
     Rules send a word to a word or to zero, so the span of reduced words is
     spanned by distinct normal forms, and the rank is their count.  Those
     normal forms are exactly the irreducible words of length 1..d (see the
-    module docstring), counted over their last two letters.
+    module docstring), counted over their last two letters: a list indexed
+    by the state a*n + b holds how many irreducible words of the current
+    length end in a b, and the next length adds each count to the states of
+    the state's successor row.  Reads only R.rules and R.poset.n.
     """
     if max_degree > MAX_PROBE_DEGREE:
         raise ValueError(
@@ -144,30 +166,41 @@ def dimension_up_to(R, max_degree):
     if max_degree < 1:
         return []
     n = R.poset.n
-    rules = R.rules
-    # each irreducible pair (a, b), with the pairs (b, c) it may move to
-    successors = {}
-    for a in range(n):
-        for b in range(n):
-            if (a, b) not in rules:
-                successors[(a, b)] = [
-                    (b, c)
-                    for c in range(n)
-                    if (b, c) not in rules and (a, b, c) not in rules
-                ]
+    nn = n * n
+    # free[b]: the c with b c no left side; free3[a*n + b]: the c with a b c
+    # no left side
+    full = (1 << n) - 1
+    free = [full] * n
+    free3 = [full] * nn
+    for lhs in R.rules:
+        if len(lhs) == 2:
+            free[lhs[0]] &= ~(1 << lhs[1])
+        else:
+            a, b, c = lhs
+            free3[a * n + b] &= ~(1 << c)
+    # each irreducible pair a b as the state a*n + b, with its successor row
+    rows = [
+        (a * n + b, [b * n + c for c in iterbits(free[b] & free3[a * n + b])])
+        for a in range(n)
+        for b in iterbits(free[a])
+    ]
     total = n
     counts = [total]
-    # irreducible words of the current length, by their last two letters
-    ending = dict.fromkeys(successors, 1)
+    # irreducible words of the current length, by the state of their last
+    # two letters
+    ending = [0] * nn
+    for s, _ in rows:
+        ending[s] = 1
     for d in range(2, max_degree + 1):
         if d > 2:
-            longer = dict.fromkeys(successors, 0)
-            for state, count in ending.items():
+            longer = [0] * nn
+            for s, row in rows:
+                count = ending[s]
                 if count:
-                    for nxt in successors[state]:
-                        longer[nxt] += count
+                    for t in row:
+                        longer[t] += count
             ending = longer
-        total += sum(ending.values())
+        total += sum(ending)
         counts.append(total)
     return counts
 

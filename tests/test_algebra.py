@@ -215,6 +215,11 @@ def test_table_golden_chain2():
     assert (2, 0) not in T.entries
 
 
+def test_table_is_built_once_per_algebra():
+    A = A_of(diamond())
+    assert A.multiplication_table() is A.multiplication_table()
+
+
 def test_table_json_roundtrip():
     T = A_of(diamond()).multiplication_table()
     assert MultiplicationTable.from_json_text(T.to_json_text()) == T

@@ -19,6 +19,7 @@ from posetalg.oracles import (
     brute_confluence_witnesses,
     brute_dimension_up_to,
     brute_normal_forms,
+    brute_rewrite_rules,
 )
 from posetalg.rewriting import RewriteSystem
 
@@ -51,6 +52,17 @@ def test_rule_set_chain2_distinct_only():
     R = build_rewrite_system(chain(2), "distinct_only")
     # no three distinct comparable elements exist, so only the zero rules
     assert rule_strings(R) == ["b a -> 0", "a b a -> 0", "b a b -> 0"]
+
+
+@pytest.mark.parametrize("conv", ["allow_repeats", "distinct_only"])
+def test_rules_match_the_literal_oracle(corpus, conv):
+    for P in corpus:
+        rules = build_rewrite_system(P, conv).rules
+        want = brute_rewrite_rules(P, conv)
+        assert rules == want
+        assert list(rules) == list(want)
+        # the rules pass the checks a hand-built system goes through
+        assert RewriteSystem(P, conv, rules).rules == rules
 
 
 def test_convention_is_validated():
@@ -219,6 +231,50 @@ def test_rewrite_system_refuses_a_left_side_reduction_never_matches(rules):
     # reduce_word reads only 2- and 3-letter windows
     with pytest.raises(ValueError):
         RewriteSystem(chain(3), "allow_repeats", rules)
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        {(0, 1): (7,)},
+        {(5, 9): None},
+        {(0, 1, 3): (0, 1)},
+        {(0, 1): (-1,)},
+        {(0, "b"): None},
+        {(0, 1): (7,), (5, 9): None},
+    ],
+)
+def test_rewrite_system_refuses_a_letter_that_names_no_element(rules):
+    # dimension_up_to counts words over the letters 0..n-1 only
+    with pytest.raises(ValueError):
+        RewriteSystem(chain(3), "allow_repeats", rules)
+
+
+def test_rewrite_system_refuses_an_empty_right_side():
+    # the empty word would be a normal form, of degree 0, that no count holds
+    with pytest.raises(ValueError):
+        RewriteSystem(chain(2), "allow_repeats", {(0, 1): ()})
+
+
+def _words(lo, hi):
+    return st.lists(st.integers(0, 2), min_size=lo, max_size=hi).map(tuple)
+
+
+@st.composite
+def rule_sets(draw):
+    """Left sides of 2 or 3 letters, each to zero or to a nonempty shorter
+    word."""
+    rules = {}
+    for lhs in draw(st.lists(_words(2, 3), max_size=12)):
+        rules[lhs] = draw(st.none() | _words(1, len(lhs) - 1))
+    return rules
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule_sets())
+def test_hand_built_dimensions_match_the_enumeration_oracle(rules):
+    R = RewriteSystem(chain(3), "allow_repeats", rules)
+    assert dimension_up_to(R, 5) == brute_dimension_up_to(R, 5)
 
 
 def test_confluence_probe_refuses_past_its_word_budget():
