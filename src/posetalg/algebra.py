@@ -14,6 +14,7 @@ module solves.
 
 import json
 import re
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import count
@@ -191,9 +192,12 @@ class IncidenceAlgebra:
     # -- views
 
     def multiplication_table(self):
-        """The structure constants, built on the first call; later calls
-        return the same table, which callers must not mutate."""
-        if self._table is None:
+        """The structure constants.  While a caller holds the table, later
+        calls return that same table, which callers must not mutate; the
+        algebra keeps only a weak reference, so a table nobody holds is
+        freed and built again on the next call."""
+        table = self._table and self._table()
+        if table is None:
             index = self.index
             one = Fraction(1)
             entries = {}
@@ -201,8 +205,9 @@ class IncidenceAlgebra:
                 # x <= y <= v gives x <= v, strict when y < v
                 for j, v in self.by_first[y]:
                     entries[(i, j)] = (one, index[Pair(x, v)])
-            self._table = MultiplicationTable._checked(self.dim, entries)
-        return self._table
+            table = MultiplicationTable._checked(self.dim, entries)
+            self._table = weakref.ref(table)
+        return table
 
     def __repr__(self):
         return "<IncidenceAlgebra %s dim=%d %s>" % (
@@ -293,7 +298,7 @@ class MultiplicationTable:
     (the table is associative but is not a rescaled incidence table)."""
 
     __slots__ = ("dim", "entries", "right", "left", "landing", "square",
-                 "_witness", "_certified")
+                 "_witness", "_certified", "__weakref__")
 
     def __init__(self, dim, entries):
         if type(dim) is not int or dim < 0:  # refuses bools, as from_json_text does

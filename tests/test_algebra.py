@@ -1,6 +1,8 @@
 from fractions import Fraction
+import gc
 import re
 import tracemalloc
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,9 +217,16 @@ def test_table_golden_chain2():
     assert (2, 0) not in T.entries
 
 
-def test_table_is_built_once_per_algebra():
+def test_table_is_shared_while_a_caller_holds_it():
     A = A_of(diamond())
-    assert A.multiplication_table() is A.multiplication_table()
+    T = A.multiplication_table()
+    assert A.multiplication_table() is T
+    # the algebra alone does not keep the table alive
+    held = weakref.ref(T)
+    del T
+    gc.collect()
+    assert held() is None
+    assert A.multiplication_table() == A_of(diamond()).multiplication_table()
 
 
 def test_table_json_roundtrip():
