@@ -238,7 +238,6 @@ def test_rewrite_system_refuses_a_left_side_reduction_never_matches(rules):
     [
         {(0, 1): (7,)},
         {(5, 9): None},
-        {(0, 1, 3): (0, 1)},
         {(0, 1): (-1,)},
         {(0, "b"): None},
         {(0, 1): (7,), (5, 9): None},
