@@ -74,7 +74,3 @@ class RecoveredRelationNotTransitive(PosetAlgebraError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class WordLengthExceeded(PosetAlgebraError):
-    pass

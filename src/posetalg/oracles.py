@@ -33,7 +33,7 @@ from .poset import (
     transitive_closure,
 )
 from .linalg import Subspace
-from .rewriting import MAX_WORD_LEN, reduce_word
+from .rewriting import reduce_word
 
 _SUBSET_LIMIT = 15
 _PERM_LIMIT = 6
@@ -146,11 +146,8 @@ def brute_dimension_up_to(R, max_degree):
     """Cumulative count of the distinct normal forms of all words of degree
     <= d, for each d up to max_degree, by reducing every word."""
     words = sum(R.poset.n ** d for d in range(1, max_degree + 1))
-    if words > _WORD_LIMIT or max_degree > MAX_WORD_LEN:
-        raise SizeLimitExceeded(
-            "word enumeration capped at %d words of length <= %d"
-            % (_WORD_LIMIT, MAX_WORD_LEN)
-        )
+    if words > _WORD_LIMIT:
+        raise SizeLimitExceeded("word enumeration capped at %d words" % _WORD_LIMIT)
     letters = range(R.poset.n)
     seen = set()
     counts = []

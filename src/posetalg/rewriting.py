@@ -11,12 +11,20 @@ The triple convention decides who may repeat in (i): 'allow_repeats' (the
 default) reads <= reflexively, so a a b -> a b and a a a -> a a are rules;
 'distinct_only' demands three distinct elements.
 
-Reduction runs a fixed strategy, leftmost position first and shorter left
-side first, to a fixpoint.  Every rule shortens or kills the word, so this
-terminates, and by Newman's lemma the normal form is strategy-independent
-exactly when every critical pair joins (Knuth and Bendix): confluence_probe
-tests the overlap words of two left sides, oracles.brute_confluence_witnesses
-every word.  Dimension counts are evidence about posets and degrees, no more.
+Every rule shortens or kills its word; RewriteSystem refuses any other.  So
+reduction terminates, and by Newman's lemma the normal form is strategy-
+independent exactly when every critical pair joins (Knuth and Bendix):
+confluence_probe tests the overlap words of two left sides,
+oracles.brute_confluence_witnesses every word.  Dimension counts are evidence
+about posets and degrees, no more.
+
+Reduction takes the leftmost redex, the shorter left side first, in one
+left-to-right pass (Book and Otto, String-Rewriting Systems, 1993, ch. 2).
+Each letter read goes onto a stack that is irreducible below it, so a redex
+ends at the top, and of the two windows ending there the 3-letter one starts
+first.  A match pops its left side and puts the right side in front of the
+unread letters.  A rewrite drops a letter and puts back at most two, so the
+pass is linear in the word's length.
 
 The dimensions are counted, not enumerated.  Reduction stops only when no 2-
 or 3-letter window is a left side, so every normal form is irreducible, and
@@ -38,19 +46,17 @@ chain(2) the normal forms are the words a^i b^j, and the dimensions grow as
 d(d+3)/2.  Even 'allow_repeats' grows on antichain(2): 2, 6, 10, 14, 18, 22.
 """
 
-from .errors import WordLengthExceeded
 from .poset import iterbits
 
-MAX_WORD_LEN = 12
 MAX_PROBE_DEGREE = 32
 
 
 class RewriteSystem:
     """Rule set for one poset and triple convention.  Rules map a left side
-    (tuple of element indices) to a shorter nonempty tuple or None for zero.
-    A left side must have 2 or 3 letters, the only windows reduction
-    matches, and every letter must be an element index 0..n-1, the only
-    letters dimension_up_to counts."""
+    (tuple of element indices) to a shorter nonempty tuple or None for zero,
+    so reduction terminates.  A left side must have 2 or 3 letters, the only
+    windows reduction matches, and every letter must be an element index
+    0..n-1, the only letters dimension_up_to counts."""
 
     __slots__ = ("poset", "triple_convention", "rules")
 
@@ -60,9 +66,12 @@ class RewriteSystem:
         for lhs, rhs in rules.items():
             if len(lhs) not in (2, 3):
                 raise ValueError("left side %r is not 2 or 3 letters" % (lhs,))
-            if rhs is not None and not rhs:
-                # the empty word would be a normal form no count includes
-                raise ValueError("rule %r has an empty right side" % (lhs,))
+            if rhs is not None and not 0 < len(rhs) < len(lhs):
+                # the empty word would be a normal form no count includes, and
+                # a rule that does not shorten its word need not terminate
+                raise ValueError(
+                    "rule %r -> %r: right side empty or not shorter" % (lhs, rhs)
+                )
             for i in (*lhs, *(rhs or ())):
                 if not (isinstance(i, int) and 0 <= i < n):
                     raise ValueError(
@@ -109,41 +118,32 @@ def build_rewrite_system(P, triple_convention="allow_repeats"):
     return RewriteSystem._checked(P, triple_convention, rules)
 
 
-def _match_at(R, word, p):
-    """The rule applying at position p, shorter left side first."""
-    two = tuple(word[p : p + 2])
-    if len(two) == 2 and two in R.rules:
-        return two
-    three = tuple(word[p : p + 3])
-    if len(three) == 3 and three in R.rules:
-        return three
-    return None
-
-
 def reduce_word(R, word):
-    """Normal form of the word (a tuple of element indices), None for zero."""
-    word = tuple(word)
-    if len(word) > MAX_WORD_LEN:
-        raise WordLengthExceeded(
-            "word of length %d exceeds the limit %d" % (len(word), MAX_WORD_LEN)
-        )
-    for i in word:
+    """Normal form of the word (element indices), None for zero: leftmost
+    redex first, shorter left side first, in one linear pass (see the module
+    docstring)."""
+    pending = list(word)
+    for i in pending:
         if not 0 <= i < R.poset.n:
             raise ValueError("letter %r is not a poset element index" % (i,))
-    w = list(word)
-    p = 0
-    while p < len(w):
-        lhs = _match_at(R, w, p)
-        if lhs is None:
-            p += 1
-            continue
-        rhs = R.rules[lhs]
+    pending.reverse()  # the next letter to read is last
+    rules = R.rules
+    out = []
+    while pending:
+        out.append(pending.pop())
+        # out is irreducible below its top, so a redex ends at the top: the
+        # 3-letter window, then the 2-letter one
+        lhs = tuple(out[-3:])
+        if lhs not in rules:
+            lhs = lhs[-2:]
+            if lhs not in rules:
+                continue
+        rhs = rules[lhs]
         if rhs is None:
             return None
-        w[p : p + len(lhs)] = rhs
-        # a rewrite can only create redexes overlapping the edit
-        p = max(0, p - 2)
-    return tuple(w)
+        del out[-len(lhs) :]
+        pending.extend(reversed(rhs))
+    return tuple(out)
 
 
 def dimension_up_to(R, max_degree):
@@ -152,8 +152,9 @@ def dimension_up_to(R, max_degree):
 
     Rules send a word to a word or to zero, so the span of reduced words is
     spanned by distinct normal forms, and the rank is their count.  Those
-    normal forms are exactly the irreducible words of length 1..d (see the
-    module docstring), counted over their last two letters: a list indexed
+    normal forms are exactly the irreducible words of length 1..d, as the
+    constructor refuses a rule that does not shorten (see the module
+    docstring).  They are counted over their last two letters: a list indexed
     by the state a*n + b holds how many irreducible words of the current
     length end in a b, and the next length adds each count to the states of
     the state's successor row.  Reads only R.rules and R.poset.n.
@@ -213,11 +214,9 @@ def _rewrite_at(R, w, p, lhs):
 def confluence_probe(R):
     """Overlap words of two left sides whose two rewrites reach different
     normal forms, with the forms sorted (zero, None, first); empty exactly when
-    R is confluent.  A rule that does not shorten its word is a ValueError."""
+    R is confluent."""
     by_first = {}
-    for lhs, rhs in R.rules.items():
-        if rhs is not None and len(rhs) >= len(lhs):
-            raise ValueError("rule %r -> %r does not shorten its word" % (lhs, rhs))
+    for lhs in R.rules:
         by_first.setdefault(lhs[0], []).append(lhs)
     found = {}
     for l1 in R.rules:

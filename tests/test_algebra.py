@@ -285,6 +285,13 @@ def test_constructor_refuses_what_from_json_text_refuses(make, named):
         make()
 
 
+def test_constructor_refuses_an_index_out_of_range_and_a_zero_coefficient():
+    with pytest.raises(ValueError, match="out of range"):
+        MultiplicationTable(2, {(0, 5): (Fraction(1), 0)})
+    with pytest.raises(ValueError, match="zero coefficient"):
+        MultiplicationTable(1, {(0, 0): (0, 0)})
+
+
 def test_constructor_takes_int_and_fraction_coefficients():
     # chain(2)'s table with [a,a] rescaled by 2, coefficients mixed
     T = MultiplicationTable(

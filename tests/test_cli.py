@@ -12,7 +12,8 @@ from posetalg import (
     parse_poset,
     scramble,
 )
-from posetalg import recovery
+from posetalg import cli, recovery
+from posetalg.checks import CheckResult
 from posetalg.cli import main
 
 
@@ -269,6 +270,24 @@ def test_corpus_check_small(capsys):
         code, out, _ = run(capsys, "check", "--corpus", corpus)
         assert code == 0
         assert out == CORPUS_CHECK_LINES.format(n=n, listed=listed)
+
+
+def test_corpus_check_prints_the_first_failure(capsys, monkeypatch):
+    # one check that fails on the last two of three posets
+    monkeypatch.setattr(cli, "get_corpus", lambda name: [chain(1), chain(2), chain(3)])
+    details = {1: "first detail", 2: "second detail"}
+
+    def run_poset_checks(P, seeds, enum_cap):
+        detail = details.get(P.n - 1)
+        return [CheckResult("demo", detail is None, detail or "")]
+
+    monkeypatch.setattr(cli, "run_poset_checks", run_poset_checks)
+    code, out, _ = run(capsys, "check", "--corpus", "exhaustive4")
+    assert code == 1
+    assert out == (
+        "check demo: FAIL (2 of 3) first detail\n"
+        "summary: 3 posets, 1 checks, 1 failed\n"
+    )
 
 
 @pytest.mark.parametrize(

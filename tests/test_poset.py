@@ -69,6 +69,9 @@ def test_duplicate_labels_rejected():
 def test_unknown_label_rejected():
     with pytest.raises(UnknownLabel):
         poset_from_relations(["a"], [("a", "b")])
+    for relation in (("a", "z"), ("z", "a")):
+        with pytest.raises(UnknownLabel):
+            poset_from_relations("ab", [relation])
 
 
 def test_cycles_rejected():
@@ -80,6 +83,21 @@ def test_cycles_rejected():
         poset_from_relations(
             ["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")]
         )
+
+
+@pytest.mark.parametrize(
+    "labels, up, error",
+    [
+        (["a"], [], ValueError),  # no row for a
+        (["a", "a"], [0, 0], DuplicateLabel),
+        (["a"], [2], ValueError),  # a row naming element 1 of 1
+        (["a"], [1], CycleDetected),  # a < a
+        (["a", "b"], [2, 1], CycleDetected),  # a < b < a
+    ],
+)
+def test_raw_constructor_refusals(labels, up, error):
+    with pytest.raises(error):
+        Poset(labels, up)
 
 
 def test_raw_rows_must_be_transitive():

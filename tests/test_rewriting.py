@@ -1,12 +1,12 @@
+from itertools import product
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from posetalg import (
     MAX_PROBE_DEGREE,
-    MAX_WORD_LEN,
     SizeLimitExceeded,
-    WordLengthExceeded,
     antichain,
     build_rewrite_system,
     chain,
@@ -94,10 +94,39 @@ def test_zero_absorbs_context():
 
 def test_word_validation():
     R = build_rewrite_system(chain(2), "allow_repeats")
-    with pytest.raises(WordLengthExceeded):
-        reduce_word(R, (0,) * (MAX_WORD_LEN + 1))
+    # words of any length: a a a -> a a keeps a run of a at two letters
+    assert reduce_word(R, (0,) * 1000) == (0, 0)
     with pytest.raises(ValueError):
         reduce_word(R, (0, 9))
+
+
+def test_reduction_takes_any_iterable():
+    R = build_rewrite_system(chain(3), "allow_repeats")
+    assert reduce_word(R, (i for i in (0, 1, 2))) == (0, 2)
+
+
+def test_long_words_reduce_in_one_pass():
+    # one pass: rescanning from each edit would be quadratic at this length
+    R = build_rewrite_system(chain(3), "allow_repeats")
+    assert reduce_word(R, (0,) + (1,) * 10 ** 5 + (2,)) == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "rules, form",
+    [
+        # the leftmost redex wins: 0 1 -> 2 before 1 2 -> 0
+        ({(0, 1): (2,), (1, 2): (0,)}, (2, 2)),
+        # at one position the shorter left side wins
+        ({(0, 1): (2,), (0, 1, 2): (1,)}, (2, 2)),
+        # 0 1 2 starts before 1 2
+        ({(0, 1, 2): (1,), (1, 2): (0,)}, (1,)),
+    ],
+)
+def test_reduction_strategy_on_systems_with_two_normal_forms(rules, form):
+    R = RewriteSystem(chain(3), "allow_repeats", rules)
+    forms = brute_normal_forms(R, (0, 1, 2), {})
+    assert len(forms) == 2 and form in forms
+    assert reduce_word(R, (0, 1, 2)) == form
 
 
 def test_dimension_sequences_chain2():
@@ -155,6 +184,7 @@ def test_degree_cap():
     R = build_rewrite_system(chain(2), "allow_repeats")
     with pytest.raises(ValueError):
         dimension_up_to(R, MAX_PROBE_DEGREE + 1)
+    assert dimension_up_to(R, 0) == []
 
 
 @settings(max_examples=80, deadline=None)
@@ -220,10 +250,20 @@ def test_confluence_probe_witnesses_are_oracle_witnesses(rules):
         assert set(forms) <= set(oracle[word])
 
 
-def test_confluence_probe_refuses_a_rule_that_does_not_shorten():
-    R = RewriteSystem(chain(2), "allow_repeats", {(0, 1): (1, 0)})
+@pytest.mark.parametrize(
+    "rules",
+    [
+        {(0, 1): (1, 0)},
+        {(0, 1): (1, 0), (1, 0): (0, 1)},
+        {(0, 1): (1, 0, 1)},
+        {(0, 1, 1): (1, 0, 0)},
+    ],
+)
+def test_rewrite_system_refuses_a_rule_that_does_not_shorten(rules):
+    # such rules need not terminate: 0 1 -> 1 0 -> 0 1 -> ... loops, and
+    # 0 1 -> 1 0 1 grows every word holding 0 1 without end
     with pytest.raises(ValueError):
-        confluence_probe(R)
+        RewriteSystem(chain(2), "allow_repeats", rules)
 
 
 @pytest.mark.parametrize("rules", [{(0, 1, 2, 0): None}, {(1,): None}])
@@ -274,6 +314,20 @@ def rule_sets(draw):
 def test_hand_built_dimensions_match_the_enumeration_oracle(rules):
     R = RewriteSystem(chain(3), "allow_repeats", rules)
     assert dimension_up_to(R, 5) == brute_dimension_up_to(R, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rule_sets())
+def test_reduction_reaches_an_irreducible_normal_form(rules):
+    R = RewriteSystem(chain(3), "allow_repeats", rules)
+    memo = {}
+    for d in range(7):
+        for word in product(range(3), repeat=d):
+            nf = reduce_word(R, word)
+            assert nf in brute_normal_forms(R, word, memo)
+            if nf is not None:
+                windows = {nf[p : p + k] for k in (2, 3) for p in range(len(nf) - k + 1)}
+                assert not windows & R.rules.keys()
 
 
 def test_confluence_probe_refuses_past_its_word_budget():

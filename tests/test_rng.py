@@ -1,6 +1,8 @@
 """The generator is a documented contract: scrambles and corpora must look
 identical on every platform and release, so the raw outputs are pinned."""
 
+import pytest
+
 from posetalg import LCG
 
 
@@ -53,3 +55,8 @@ def test_choice_stays_in_sequence():
     rng = LCG(5)
     xs = ["p", "q", "r"]
     assert all(rng.choice(xs) in xs for _ in range(12))
+
+
+def test_next_below_needs_a_positive_bound():
+    with pytest.raises(ValueError):
+        LCG(1).next_below(0)
