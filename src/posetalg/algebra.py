@@ -460,17 +460,34 @@ class MultiplicationTable:
             )
 
     def permuted_rescaled(self, perm, scales):
-        """Relabel basis element i as perm[i] and rescale it by scales[i]."""
+        """Relabel basis element i as perm[i] and rescale it by scales[i].
+
+        Each scale must be a nonzero int or Fraction (bools and floats are
+        refused, as the constructor refuses them as coefficients).  Entry
+        b_i b_j = c b_k becomes c * s_i * s_j / s_k, taken as the unreduced
+        integer pair (c.num n_i n_j d_k, c.den d_i d_j n_k) of the scales'
+        numerators n and denominators d; one Fraction is built per distinct
+        pair (oracles.brute_permuted_rescaled is the literal expression)."""
         if sorted(perm) != list(range(self.dim)):
             raise ValueError("not a permutation of 0..dim-1")
         if len(scales) != self.dim or any(not s for s in scales):
             raise ValueError("need one nonzero scale per basis element")
+        for x, s in enumerate(scales):
+            if type(s) not in (int, Fraction):
+                raise ValueError("scale %d is %r, not an int or Fraction" % (x, s))
+        nums = [s.numerator for s in scales]
+        dens = [s.denominator for s in scales]
+        made = {}
         entries = {}
         for (i, j), (c, k) in self.entries.items():
-            entries[(perm[i], perm[j])] = (
-                c * scales[i] * scales[j] / scales[k],
-                perm[k],
+            pair = (
+                c.numerator * nums[i] * nums[j] * dens[k],
+                c.denominator * dens[i] * dens[j] * nums[k],
             )
+            value = made.get(pair)
+            if value is None:
+                value = made[pair] = Fraction(*pair)
+            entries[(perm[i], perm[j])] = (value, perm[k])
         return MultiplicationTable(self.dim, entries)
 
     def to_json_text(self):

@@ -17,7 +17,7 @@ split, and reads product supports off the multiplication table.
 from fractions import Fraction
 from itertools import permutations, product as _cartesian
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, MultiplicationTable
 from .errors import (
     ClosureViolation,
     NotAssociative,
@@ -344,6 +344,18 @@ def brute_associativity_witness(table):
             if (i, j) not in entries and (i, k) in entries:
                 return (i, j, l)
     return None
+
+
+def brute_permuted_rescaled(table, perm, scales):
+    """The scrambled table entry by entry in Fraction arithmetic:
+    b_i b_j = c b_k becomes b'_perm[i] b'_perm[j] = c s_i s_j / s_k b'_perm[k]."""
+    entries = {}
+    for (i, j), (c, k) in table.entries.items():
+        entries[(perm[i], perm[j])] = (
+            Fraction(c) * scales[i] * scales[j] / scales[k],
+            perm[k],
+        )
+    return MultiplicationTable(table.dim, entries)
 
 
 def _brute_validate(table):

@@ -123,8 +123,8 @@ def reduce_word(R, word):
     redex first, shorter left side first, in one linear pass (see the module
     docstring)."""
     pending = list(word)
-    for i in pending:
-        if not 0 <= i < R.poset.n:
+    for i in pending:  # RewriteSystem's letter rule
+        if not (isinstance(i, int) and 0 <= i < R.poset.n):
             raise ValueError("letter %r is not a poset element index" % (i,))
     pending.reverse()  # the next letter to read is last
     rules = R.rules

@@ -29,8 +29,10 @@ from posetalg import (
     recover_table,
     scramble,
 )
+from posetalg.algebra import scramble_draws
 from posetalg.oracles import (
     brute_associativity_witness,
+    brute_permuted_rescaled,
     element_product_via_matrices,
     nilpotency_index,
     to_matrix,
@@ -273,10 +275,17 @@ def test_constructor_refuses_a_dim_it_cannot_write_back(dim):
             lambda: A_of(chain(2)).multiplication_table().permuted_rescaled(
                 [0, 1, 2], [0.5] * 3
             ),
-            "(0,0)->(0.5,0): indices must be ints and the coefficient an int or",
+            "scale 0 is 0.5, not an int or Fraction",
+        ),
+        (
+            lambda: A_of(chain(2)).multiplication_table().permuted_rescaled(
+                [0, 1, 2], [True] * 3
+            ),
+            "scale 0 is True, not an int or Fraction",
         ),
     ],
-    ids=["float", "str", "bool", "float_index", "bool_index", "float_scales"],
+    ids=["float", "str", "bool", "float_index", "bool_index", "float_scales",
+         "bool_scales"],
 )
 def test_constructor_refuses_what_from_json_text_refuses(make, named):
     # each of these used to build a table that crashed certified() or
@@ -395,9 +404,65 @@ def test_permuted_rescaled_validation():
         T.permuted_rescaled([0, 0, 1], [Fraction(1)] * 3)
     with pytest.raises(ValueError):
         T.permuted_rescaled([0, 1, 2], [Fraction(0)] * 3)
-    # nonzero float scales whose product underflows to a zero coefficient
+    # nonzero float scales, whose product would underflow to a zero
+    # coefficient, are refused by type before any arithmetic
     with pytest.raises(ValueError):
         T.permuted_rescaled([0, 1, 2], [1e-200] * 3)
+
+
+def test_int_coefficients_rescale_by_int_scales_to_fractions():
+    # 3 * 1 * 1 / 1 is the float 3.0 in plain arithmetic, which the
+    # constructor refuses; the integer pairs give Fraction(3)
+    T = MultiplicationTable(1, {(0, 0): (3, 0)})
+    assert T.permuted_rescaled([0], [1]) == T
+    doubled = T.permuted_rescaled([0], [2])
+    assert doubled.entries == {(0, 0): (Fraction(6), 0)}
+    assert type(doubled.entries[(0, 0)][0]) is Fraction
+    assert doubled.certified()
+
+
+@st.composite
+def literal_scramble_inputs(draw):
+    """An incidence table rescaled by drawn scales, its integral
+    coefficients as ints or as Fractions, then a permutation and int or
+    Fraction scales, negative ones included, to scramble it with."""
+    P = draw(posets(max_n=4))
+    T = IncidenceAlgebra(P, "reflexive").multiplication_table()
+    nonzero_int = st.integers(-6, 6).filter(bool)
+    scale = st.one_of(
+        nonzero_int, st.builds(Fraction, nonzero_int, st.integers(1, 6))
+    )
+    identity = list(range(T.dim))
+    T = brute_permuted_rescaled(
+        T, identity, draw(st.lists(scale, min_size=T.dim, max_size=T.dim))
+    )
+    if draw(st.booleans()):
+        T = MultiplicationTable(
+            T.dim,
+            {
+                key: (int(c) if c.denominator == 1 else c, k)
+                for key, (c, k) in T.entries.items()
+            },
+        )
+    perm = draw(st.permutations(identity))
+    scales = draw(st.lists(scale, min_size=T.dim, max_size=T.dim))
+    return T, perm, scales
+
+
+@settings(max_examples=150, deadline=None)
+@given(literal_scramble_inputs())
+def test_permuted_rescaled_matches_the_literal_oracle(drawn):
+    T, perm, scales = drawn
+    assert T.permuted_rescaled(perm, scales) == brute_permuted_rescaled(
+        T, perm, scales
+    )
+
+
+def test_scrambled_corpus_tables_match_the_literal_oracle(corpus_tables):
+    for T in corpus_tables:
+        for seed in (1, 2, 3):
+            perm, scales = scramble_draws(T.dim, seed)
+            assert scramble(T, seed) == brute_permuted_rescaled(T, perm, scales)
 
 
 def test_scramble_is_deterministic_and_seed_sensitive():

@@ -98,6 +98,11 @@ def test_word_validation():
     assert reduce_word(R, (0,) * 1000) == (0, 0)
     with pytest.raises(ValueError):
         reduce_word(R, (0, 9))
+    # in range but not element indices, refused as the RewriteSystem
+    # constructor refuses them in a rule
+    for word in [(0.5,), (True, 0.0, 1)]:
+        with pytest.raises(ValueError, match="is not a poset element index"):
+            reduce_word(R, word)
 
 
 def test_reduction_takes_any_iterable():
