@@ -7,21 +7,22 @@ Run:  python3 demos/recovery_forensics.py
 from fractions import Fraction
 
 from posetalg import (
-    ClosureViolation,
     IncidenceAlgebra,
     MultiplicationTable,
     NoPosetBehindTable,
-    RecoveredRelationNotTransitive,
+    PosetAlgebraError,
     boolean_lattice,
     chain,
     format_poset,
     quasi_idempotents,
-    recover_by_ideal_products,
-    recover_by_links,
     recover_table,
     scramble,
 )
-from posetalg.oracles import brute_isomorphism
+from posetalg.oracles import (
+    brute_isomorphism,
+    brute_recover_by_ideal_products,
+    brute_recover_by_links,
+)
 
 P = boolean_lattice(2)
 A = IncidenceAlgebra(P, "reflexive")
@@ -53,55 +54,75 @@ assert Q1 == Q2
 print("They agree, and the result is isomorphic to the original:",
       brute_isomorphism(P, Q1))
 
-# --- now three associative, monomial tables with no poset behind them ----
+# --- now four associative, monomial tables with no poset behind them ----
+#
+# Each is refused by the table's placement, which puts every basis vector
+# between the quasi-idempotents that act on it, before either route reads
+# it.  Next to that refusal stands what the paper-literal routes of
+# oracles.py, which read the table without placing it, would make of it.
 
 one = Fraction(1)
 
+
+def literal_verdicts(table):
+    for name, route in (("product route", brute_recover_by_ideal_products),
+                        ("link route", brute_recover_by_links)):
+        try:
+            print("  literal %s returns: %r" % (name, route(table)))
+        except PosetAlgebraError as e:
+            print("  literal %s: %s: %s" % (name, type(e).__name__, e))
+
+
+def refuse(table):
+    literal_verdicts(table)
+    try:
+        recover_table(table)
+    except NoPosetBehindTable as e:
+        print("  placement refuses it: NoPosetBehindTable:", e)
+    else:
+        raise AssertionError("a table with no poset behind it was accepted")
+
+
 print()
-print("Fraud 1: the two-element group (g*g = e). One quasi-idempotent,")
-print("but the complement of it is not closed under products:")
-group = MultiplicationTable(2, {
+print("Fraud 1: the two-element group (g*g = e). One quasi-idempotent, e,")
+print("and it fixes g as it fixes itself, so both land on (e, e):")
+refuse(MultiplicationTable(2, {
     (0, 0): (one, 0), (0, 1): (one, 1),
     (1, 0): (one, 1), (1, 1): (one, 0),
-})
-try:
-    recover_by_links(group)
-except ClosureViolation as e:
-    print("  ClosureViolation:", e)
+}))
 
 print()
 print("Fraud 2: arrows a -> b -> c whose composite is forced to zero.")
-print("Cover detection alone is fooled into reporting a 3-chain, but the")
-print("product scheme notices the missing composite:")
+print("Cover detection alone is fooled into a 3-chain; the placed pairs")
+print("compose in one more way than the table has products:")
 ea, eb, ec, u, v = range(5)
-path = MultiplicationTable(5, {
+refuse(MultiplicationTable(5, {
     (ea, ea): (one, ea), (eb, eb): (one, eb), (ec, ec): (one, ec),
     (ea, u): (one, u), (u, eb): (one, u),
     (eb, v): (one, v), (v, ec): (one, v),
-})
-print("  link scheme returns:", repr(recover_by_links(path)))
-try:
-    recover_by_ideal_products(path)
-except RecoveredRelationNotTransitive as e:
-    print("  RecoveredRelationNotTransitive:", e)
+}))
 
 print()
 print("Fraud 3: the 3-chain's table with the product [a,b][b,c] removed.")
-print("Both schemes agree on a 3-chain, and its 6 comparable pairs number")
-print("the table's dim, but the radical now squares to zero. Placing each")
-print("basis vector between the quasi-idempotents that act on it shows the")
-print("placed pairs compose in more ways than the table has products:")
+print("Both literal routes agree on a 3-chain, whose 6 comparable pairs")
+print("number the table's dim, but the radical now squares to zero:")
 C3 = IncidenceAlgebra(chain(3), "reflexive")
 entries = dict(C3.multiplication_table().entries)
 del entries[C3.index[(0, 1)], C3.index[(1, 2)]]
-dropped = MultiplicationTable(C3.dim, entries)
-Q1, Q2 = recover_by_ideal_products(dropped), recover_by_links(dropped)
-assert Q1 == Q2 and Q1.n + Q1.strict_pair_count() == dropped.dim
-print("  both schemes return:", repr(Q1))
-try:
-    recover_table(dropped)
-except NoPosetBehindTable as e:
-    print("  NoPosetBehindTable:", e)
+refuse(MultiplicationTable(C3.dim, entries))
+
 print()
-print("Moral: run both schemes; honesty is in the cross-check, and the")
-print("verdict is the certificate's placement.")
+print("Fraud 4: the 2x2 matrices on E11, E22, E12, E21, the algebra of two")
+print("equivalent elements. E12 is placed from E11 to E22, and E21 from E22")
+print("to E11: a preorder, not an order:")
+e11, e22, e12, e21 = range(4)
+refuse(MultiplicationTable(4, {
+    (e11, e11): (one, e11), (e11, e12): (one, e12),
+    (e12, e22): (one, e12), (e12, e21): (one, e11),
+    (e22, e22): (one, e22), (e22, e21): (one, e21),
+    (e21, e11): (one, e21), (e21, e12): (one, e22),
+}))
+print()
+print("Moral: the placement is the one place a table is refused; the two")
+print("routes then run on what it places, and their agreement is the")
+print("cross-check.")

@@ -365,7 +365,7 @@ class MultiplicationTable:
 
     def certified(self):
         """True when the table is shown to be a rescaled incidence table of
-        a preorder, and hence associative, in O(entries).  Computed once.
+        a poset, and hence associative, in O(entries).  Computed once.
         The table must be placed, and scales s must give b_i b_j =
         (s_i s_j / s_k) b_k on every entry, with k placed at (x_i, y_j); then
         k -> s_k E_xy maps the table onto a span of scaled matrix units closed
@@ -378,7 +378,8 @@ class MultiplicationTable:
         """(starts, ends), index k placed at (starts[k], ends[k]): the one
         quasi-idempotent acting on b_k from the left, and from the right, each
         by its square's coefficient.  Raises NoPosetBehindTable naming what fails
-        unless the placement is injective and its composable pairs number entries."""
+        unless the placement is injective, places no two indices at (x, y) and
+        (y, x) with x != y, and its composable pairs number the entries."""
         dim, right, left = self.dim, self.right, self.left
         if len(left) < dim or len(right) < dim:  # named before any dim-sized list
             k = next(k for k in count() if k not in left or k not in right)
@@ -394,7 +395,8 @@ class MultiplicationTable:
                 if ends[i] is not None or hit != (c, i):
                     raise NoPosetBehindTable(_misplaced(i, ends[i], q))
                 ends[i] = q
-        if None in starts or None in ends or len(set(zip(starts, ends))) < dim:
+        at = dict(zip(zip(starts, ends), count()))  # the last index at each pair
+        if None in starts or None in ends or len(at) < dim:
             at = {}
             for k, xy in enumerate(zip(starts, ends)):
                 if None in xy:
@@ -402,6 +404,10 @@ class MultiplicationTable:
                 if at.setdefault(xy, k) != k:
                     why = "indices %d and %d both placed at %r" % (at[xy], k, xy)
                     raise NoPosetBehindTable(why)
+        for (x, y), k in at.items():
+            if x != y and (y, x) in at:  # x and y equivalent: a preorder
+                why = "indices %d and %d placed at %r and %r"
+                raise NoPosetBehindTable(why % (k, at[y, x], (x, y), (y, x)))
         leaving, n = Counter(starts), len(self.entries)
         pairs = sum(m * leaving[q] for q, m in Counter(ends).items())
         if pairs != n:
@@ -462,14 +468,18 @@ class MultiplicationTable:
     def permuted_rescaled(self, perm, scales):
         """Relabel basis element i as perm[i] and rescale it by scales[i].
 
-        Each scale must be a nonzero int or Fraction (bools and floats are
-        refused, as the constructor refuses them as coefficients).  Entry
-        b_i b_j = c b_k becomes c * s_i * s_j / s_k, taken as the unreduced
-        integer pair (c.num n_i n_j d_k, c.den d_i d_j n_k) of the scales'
-        numerators n and denominators d; one Fraction is built per distinct
-        pair (oracles.brute_permuted_rescaled is the literal expression)."""
+        perm must hold ints, and each scale must be a nonzero int or
+        Fraction (bools and floats are refused, as the constructor refuses
+        them).  Entry b_i b_j = c b_k becomes c * s_i * s_j / s_k, taken as
+        the unreduced integer pair (c.num n_i n_j d_k, c.den d_i d_j n_k) of
+        the scales' numerators n and denominators d; one Fraction is built
+        per distinct pair (oracles.brute_permuted_rescaled is the literal
+        expression)."""
+        for x, p in enumerate(perm):
+            if type(p) is not int:  # bools and floats would sort as a permutation
+                raise ValueError("perm[%d] is %r, not an int" % (x, p))
         if sorted(perm) != list(range(self.dim)):
-            raise ValueError("not a permutation of 0..dim-1")
+            raise ValueError("perm is not a permutation of 0..dim-1")
         if len(scales) != self.dim or any(not s for s in scales):
             raise ValueError("need one nonzero scale per basis element")
         for x, s in enumerate(scales):

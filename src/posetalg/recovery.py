@@ -7,34 +7,36 @@ plain int bitmask, bit k for basis index k, and the table is read through
 its indexes of present products: MultiplicationTable.right and .left by
 factor, and .landing by the index each product lands on.
 
-Two independent routes:
+Two independent routes, each on a table MultiplicationTable.placement()
+places (a certified table is placed):
 
   recover_by_ideal_products
       Elements are the quasi-idempotents (basis vectors whose square is a
       nonzero multiple of themselves; these are the images of the diagonal
       generators).  x lies strictly below y exactly when the two-sided
       ideals they generate have a nonzero product, that is when some right
-      factor of a member of I_x lies in I_y.  Transitivity of the resulting
-      relation is verified, never imposed.
+      factor of a member of I_x lies in I_y.
 
   recover_by_links
       Dropping a quasi-idempotent e_x from the full support gives a maximal
-      ideal M_x, refused unless no product but e_x * e_x lands on e_x.  A
-      link x -> y holds when M_x * M_y misses an index k of M_x n M_y, the
-      image of (x, y), which happens only when nothing sits strictly between
-      x and y.  Links are read in one pass: k is missed exactly when every
-      product landing on k starts at e_x or ends at e_y.  Links are exactly
-      the covers; their transitive closure is the strict order.  The
-      literal definition is brute_recover_by_links in oracles.py.
+      ideal M_x.  A link x -> y holds when M_x * M_y misses an index k of
+      M_x n M_y, the image of (x, y), which happens only when nothing sits
+      strictly between x and y.  Links are read in one pass: the products
+      landing on k are e_x b_k, b_k e_y and one more for each element
+      strictly between x and y, so k is missed exactly when two land on it.
+      Links are exactly the covers; their transitive closure is the strict
+      order.  The literal definition is brute_recover_by_links in oracles.py.
 
-Both raise diagnostics (NotAssociative, NotMonomial, ClosureViolation,
-RecoveredRelationNotTransitive, CycleDetected) rather than repairing
-suspicious input.  recover_table, the front door, runs both, then refuses a
-table that MultiplicationTable.placement() does not place.
+Both refuse what the table's checks refuse, NotAssociative first and then
+NoPosetBehindTable, and nothing else.  An associative table that placement()
+places has exactly the supports of an incidence algebra: one product on each
+composable placed pair, landing on the composed pair.  So neither route can
+meet a relation that is not a partial order, and neither checks for one
+(the literal routes in oracles.py still do).  recover_table, the front
+door, runs both.
 """
 
 from .algebra import IncidenceAlgebra, scramble_draws
-from .errors import ClosureViolation, RecoveredRelationNotTransitive
 from .poset import Pair, Poset, iterbits, transitive_closure
 
 
@@ -42,6 +44,14 @@ def quasi_idempotents(table):
     """Indices i with b_i^2 = c * b_i, c != 0.  Validates associativity."""
     table.ensure_associative()
     return sorted(table.square)
+
+
+def _placed_quasi_idempotents(table):
+    """quasi_idempotents(table), once table.placement() places the table."""
+    qs = quasi_idempotents(table)
+    if not table.certified():
+        table.placement()
+    return qs
 
 
 def principal_support(table, i):
@@ -70,7 +80,7 @@ def _labels_for(indices):
 def recover_by_ideal_products(table):
     """Poset on the quasi-idempotents with x < y iff I_x * I_y != 0, that is
     iff some right factor of a member of I_x lies in I_y."""
-    qs = quasi_idempotents(table)
+    qs = _placed_quasi_idempotents(table)
     n = len(qs)
     supports = [principal_support(table, q) for q in qs]
     right, none = table.right, {}
@@ -85,53 +95,20 @@ def recover_by_ideal_products(table):
         for y in range(n):
             if x != y and factors & supports[y]:
                 rows[x] |= 1 << y
-    for x in range(n):
-        for y in iterbits(rows[x]):
-            bad = rows[y] & ~rows[x]
-            if bad:
-                # covers the cyclic case too: x is never in rows[x]
-                z = (bad & -bad).bit_length() - 1
-                raise RecoveredRelationNotTransitive(
-                    "x<y and y<z without x<z at quasi-idempotents (%d, %d, %d)"
-                    % (qs[x], qs[y], qs[z]),
-                    witness=(qs[x], qs[y], qs[z]),
-                )
     return Poset(_labels_for(qs), rows)
 
 
 def _link_rows(table):
-    qs = quasi_idempotents(table)
-    landing = table.landing
-    for e in qs:
-        stray = [p for p in landing[e] if p != (e, e)]
-        if stray:
-            raise ClosureViolation(
-                "dropping index %d is not an ideal: product (%d,%d) lands on it"
-                % ((e,) + stray[0])
-            )
-    n = len(qs)
+    qs = _placed_quasi_idempotents(table)
     pos = {q: x for x, q in enumerate(qs)}
-    everyone = (1 << n) - 1
-    # an index no product reaches lies outside every M_x * M_y
-    links = [everyone if len(landing) < table.dim else 0] * n
-    into_all = 0
-    for k, products in landing.items():
-        if k in pos:
-            continue
-        a0, b0 = products[0]
-        if a0 in pos:
-            ends = {b for a, b in products if a != a0}
-            if not ends:
-                links[pos[a0]] = everyone
-            elif len(ends) == 1 and ends <= pos.keys():
-                links[pos[a0]] |= 1 << pos[ends.pop()]
-        if b0 in pos:
-            starts = {a for a, b in products if b != b0}
-            if not starts:
-                into_all |= 1 << pos[b0]
-            elif len(starts) == 1 and starts <= pos.keys():
-                links[pos[starts.pop()]] |= 1 << pos[b0]
-    return qs, [(row | into_all) & ~(1 << x) for x, row in enumerate(links)]
+    links = [0] * len(qs)
+    for products in table.landing.values():
+        # only e_x b_k and b_k e_y land on a k placed at a cover (x, y)
+        if len(products) == 2:
+            (a, b), (c, d) = products
+            x, y = (a, d) if a in pos else (c, b)
+            links[pos[x]] |= 1 << pos[y]
+    return qs, links
 
 
 def recover_by_links(table):
@@ -150,13 +127,8 @@ def recovered_links(table):
 
 
 def recover_table(table):
-    """The poset behind table by both routes, (via ideal products, via links),
-    once table.placement() places it (a certified table is placed)."""
-    via_products = recover_by_ideal_products(table)
-    via_links = recover_by_links(table)
-    if not table.certified():
-        table.placement()
-    return via_products, via_links
+    """The poset behind table by both routes, (via ideal products, via links)."""
+    return recover_by_ideal_products(table), recover_by_links(table)
 
 
 def _renamed(P, image):

@@ -128,6 +128,11 @@ def special_tables():
             (0, 0): (one, 0), (1, 1): (one, 1), (2, 2): (one, 2),
             (0, 3): (one, 3), (3, 1): (one, 3), (1, 4): (one, 4), (4, 2): (one, 4),
         })),
+        # E11, E22, E12, E21: placed, but E12 and E21 at (0, 1) and (1, 0)
+        ("matrix_units", MultiplicationTable(4, {
+            (0, 0): (one, 0), (0, 2): (one, 2), (2, 1): (one, 2), (2, 3): (one, 0),
+            (1, 1): (one, 1), (1, 3): (one, 3), (3, 0): (one, 3), (3, 2): (one, 1),
+        })),
         ("ordinal_sum_222_negated", twisted),
         ("sphere_negated_seed1", scramble(twisted, 1)),
     ]

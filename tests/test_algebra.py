@@ -361,10 +361,11 @@ def test_product_index_never_allocates_per_dim():
         T = MultiplicationTable.from_json_text('{"dim": 1000000, "entries": []}')
         T.ensure_associative()
         assert quasi_idempotents(T) == []
-        assert recover_by_ideal_products(T) == Poset([], [])
-        assert recover_by_links(T) == Poset([], [])
-        with pytest.raises(NoPosetBehindTable, match="^index 0 not placed$"):
-            recover_table(T)
+        # the placement names the first index it cannot place before it
+        # builds any list of dim entries; both routes require the placement
+        for route in (recover_by_ideal_products, recover_by_links, recover_table):
+            with pytest.raises(NoPosetBehindTable, match="^index 0 not placed$"):
+                route(T)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -402,6 +403,15 @@ def test_permuted_rescaled_validation():
     T = A_of(chain(2)).multiplication_table()
     with pytest.raises(ValueError):
         T.permuted_rescaled([0, 0, 1], [Fraction(1)] * 3)
+    # bools and floats sort as a permutation, so they are refused by type,
+    # naming the argument, not later as table entries
+    for perm, message in (
+        ([True, False, 2], "perm[0] is True, not an int"),
+        ([0, 1.0, 2], "perm[1] is 1.0, not an int"),
+    ):
+        with pytest.raises(ValueError) as err:
+            T.permuted_rescaled(perm, [Fraction(1)] * 3)
+        assert str(err.value) == message
     with pytest.raises(ValueError):
         T.permuted_rescaled([0, 1, 2], [Fraction(0)] * 3)
     # nonzero float scales, whose product would underflow to a zero

@@ -29,7 +29,11 @@ from posetalg.checks import (
 )
 from posetalg.oracles import brute_closure_witness
 
-from test_recovery import dropped_composite_table
+from test_recovery import (
+    MATRIX_UNITS_REFUSAL,
+    dropped_composite_table,
+    matrix_units_table,
+)
 
 import pytest
 
@@ -172,9 +176,12 @@ def test_check_table_flags_group_table():
             (1, 1): (Fraction(1), 0),
         },
     )
-    results = check_table(T)
-    failed = [r.name for r in results if not r.passed]
-    assert failed == ["table_recovery"]
+    # the placement refuses the group before either route runs; no table
+    # reaches a table_recovery FAIL
+    assert [tuple(r) for r in check_table(T)] == [
+        ("table_associative", True, "", False),
+        ("table_shape", False, "indices 0 and 1 both placed at (0, 0)", False),
+    ]
 
 
 def test_check_table_flags_shape_mismatch():
@@ -216,8 +223,15 @@ def test_check_table_flags_shape_mismatch():
             "indices 0 and 1 both placed at (0, 0)",
         ),
         (dropped_composite_table(), "9 entries but 10 composable placed pairs"),
+        (matrix_units_table(), MATRIX_UNITS_REFUSAL),
     ],
-    ids=["dim2", "irreflexive_chain3", "lone_nilpotent", "dropped_composite"],
+    ids=[
+        "dim2",
+        "irreflexive_chain3",
+        "lone_nilpotent",
+        "dropped_composite",
+        "matrix_units",
+    ],
 )
 def test_check_table_refuses_by_shape_alone(table, shape):
     # a table with no poset behind it fails table_shape, with the message

@@ -34,6 +34,8 @@ from posetalg.oracles import (
     brute_associativity_witness,
     brute_isomorphism,
     brute_maximal_supports,
+    brute_recover_by_ideal_products,
+    brute_recover_by_links,
 )
 
 from _strategies import posets
@@ -183,29 +185,85 @@ def quiver_path_table():
     )
 
 
+def matrix_units_table():
+    """The 2x2 matrices on E11, E22, E12, E21: the incidence algebra of a
+    preorder with two equivalent elements.  Associative, and one
+    quasi-idempotent fixes each index from each side, but that places E12
+    at (0, 1) and E21 at (1, 0)."""
+    e11, e22, e12, e21 = range(4)
+    one = Fraction(1)
+    return MultiplicationTable(
+        4,
+        {
+            (e11, e11): (one, e11),
+            (e11, e12): (one, e12),
+            (e12, e22): (one, e12),
+            (e12, e21): (one, e11),
+            (e22, e22): (one, e22),
+            (e22, e21): (one, e21),
+            (e21, e11): (one, e21),
+            (e21, e12): (one, e22),
+        },
+    )
+
+
+MATRIX_UNITS_REFUSAL = "indices 2 and 3 placed at (0, 1) and (1, 0)"
+
+
+def route_refusals(T):
+    """What placement(), each route and recover_table raise on T, by name."""
+    calls = {
+        "placement": T.placement,
+        "ideal_products": lambda: recover_by_ideal_products(T),
+        "links": lambda: recover_by_links(T),
+        "recovered_links": lambda: recovered_links(T),
+        "recover_table": lambda: recover_table(T),
+    }
+    refusals = {}
+    for name, call in calls.items():
+        with pytest.raises(PosetAlgebraError) as err:
+            call()
+        refusals[name] = (type(err.value), str(err.value))
+    return refusals
+
+
 def test_group_table_fails_closure():
+    # the complement of g*g = e is not closed under products, which the
+    # literal link route reports; the placement refuses it first, since
+    # e fixes g from both sides as it fixes itself
     T = c2_group_table()
     assert T.associativity_witness() is None
     assert quasi_idempotents(T) == [0]
+    refusal = (NoPosetBehindTable, "indices 0 and 1 both placed at (0, 0)")
+    assert set(route_refusals(T).values()) == {refusal}
     with pytest.raises(ClosureViolation) as err:
-        recover_by_links(T)
-    assert str(err.value) == (
-        "dropping index 0 is not an ideal: product (1,1) lands on it"
-    )
-    # the product scheme sees one quasi-idempotent and a trivial order
-    assert recover_by_ideal_products(T).n == 1
+        brute_recover_by_links(T)
+    assert str(err.value) == "product (1,1) lands on 0"
 
 
 def test_quiver_table_breaks_transitivity():
+    # u*v = 0 leaves the relation the literal product route reads
+    # intransitive, and a link route alone would build a 3-chain; the
+    # placed pairs compose in one more way than the table has products
     T = quiver_path_table()
     assert T.associativity_witness() is None
     assert quasi_idempotents(T) == [0, 1, 2]
+    refusal = (NoPosetBehindTable, "7 entries but 8 composable placed pairs")
+    assert set(route_refusals(T).values()) == {refusal}
     with pytest.raises(RecoveredRelationNotTransitive) as err:
-        recover_by_ideal_products(T)
-    assert err.value.witness is not None
-    # the link scheme alone cannot tell: it happily builds a chain
-    Q = recover_by_links(T)
-    assert brute_isomorphism(Q, chain(3)) is not None
+        brute_recover_by_ideal_products(T)
+    assert err.value.witness == (0, 1, 2)
+    assert brute_isomorphism(brute_recover_by_links(T), chain(3)) is not None
+
+
+def test_matrix_units_table_is_refused_as_a_preorder(tmp_path, capsys):
+    T = matrix_units_table()
+    assert brute_associativity_witness(T) is None
+    assert not T.certified()
+    refusal = (NoPosetBehindTable, MATRIX_UNITS_REFUSAL)
+    assert set(route_refusals(T).values()) == {refusal}
+    refused = cli_refusal(T, tmp_path, capsys)
+    assert (type(refused), str(refused)) == refusal
 
 
 def test_nonassociative_table_is_rejected_up_front():
@@ -297,14 +355,17 @@ def test_recover_table_refuses_what_recover_refuses(make, message, tmp_path, cap
 
 
 def test_dropped_composite_table_fits_the_pair_count(tmp_path, capsys):
-    # what a count of the recovered pairs accepted: both routes agree on a
-    # 3-chain with dim comparable pairs; the placement refuses it (see
-    # SHAPE_REFUSALS), so check --table fails table_shape with exit 1
+    # what a count of the recovered pairs accepted: both literal routes
+    # agree on a 3-chain with dim comparable pairs; the placement refuses
+    # it (see SHAPE_REFUSALS), so both routes do, and check --table fails
+    # table_shape with exit 1
     T = dropped_composite_table()
     assert brute_associativity_witness(T) is None
-    P = recover_by_ideal_products(T)
-    assert P == recover_by_links(T) and brute_isomorphism(P, chain(3))
+    P = brute_recover_by_ideal_products(T)
+    assert P == brute_recover_by_links(T) and brute_isomorphism(P, chain(3))
     assert P.n + P.strict_pair_count() == T.dim
+    refusal = (NoPosetBehindTable, "9 entries but 10 composable placed pairs")
+    assert set(route_refusals(T).values()) == {refusal}
     p = tmp_path / "table.json"
     p.write_text(T.to_json_text())
     assert cli.main(["check", "--table", str(p)]) == 1
@@ -316,21 +377,35 @@ def test_dropped_composite_table_fits_the_pair_count(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "make, error",
+    "make, error, message",
     [
-        (c2_group_table, ClosureViolation),
-        (quiver_path_table, RecoveredRelationNotTransitive),
-        (nonassociative_table, NotAssociative),
+        (
+            c2_group_table,
+            NoPosetBehindTable,
+            "indices 0 and 1 both placed at (0, 0)",
+        ),
+        (
+            quiver_path_table,
+            NoPosetBehindTable,
+            "7 entries but 8 composable placed pairs",
+        ),
+        (
+            nonassociative_table,
+            NotAssociative,
+            "table is not associative, witness indices (0, 1, 1)",
+        ),
     ],
     ids=["c2_group", "quiver_path", "nonassociative"],
 )
-def test_recover_table_raises_what_recover_reports(make, error, tmp_path, capsys):
+def test_recover_table_raises_what_recover_reports(
+    make, error, message, tmp_path, capsys
+):
     T = make()
     with pytest.raises(error) as err:
         recover_table(T)
     refusal = cli_refusal(T, tmp_path, capsys)
     assert type(err.value) is type(refusal) is error
-    assert str(err.value) == str(refusal)
+    assert str(err.value) == str(refusal) == message
 
 
 def test_recover_table_is_both_routes_on_every_corpus_scramble(corpus_tables):

@@ -37,7 +37,7 @@ from posetalg.oracles import (
 )
 
 from _strategies import posets
-from test_recovery import c2_group_table, quiver_path_table
+from test_recovery import c2_group_table, matrix_units_table, quiver_path_table
 
 
 def outcome(f, *args):
@@ -58,34 +58,56 @@ def brute_links(T):
     ]
 
 
+def refusal(f, *args):
+    """The class and message of what f(*args) raises, or None."""
+    try:
+        f(*args)
+    except PosetAlgebraError as e:
+        return (type(e), str(e))
+    return None
+
+
+def table_refusal(T):
+    """What ensure_associative() and then placement() raise on T, or None."""
+    return refusal(T.ensure_associative) or refusal(T.placement)
+
+
+def placed_strict_pairs(T):
+    """The placed pairs off the diagonal, as positions in the list of
+    quasi-idempotents; the strict pairs of the poset the routes recover."""
+    starts, ends = T.placement()
+    pos = {q: x for x, q in enumerate(quasi_idempotents(T))}
+    return {(pos[x], pos[y]) for x, y in zip(starts, ends) if x != y}
+
+
 def assert_matches_oracles(T):
     # a certified table skips the scan, so a certificate passing a table
     # that is not associative shows here as None against the oracle's triple
     assert T.associativity_witness() == brute_associativity_witness(T)
-    pairs = [
-        (quasi_idempotents, brute_quasi_idempotents),
-        (recover_by_ideal_products, brute_recover_by_ideal_products),
-        (recover_by_links, brute_recover_by_links),
-        (recovered_links, brute_links),
-    ]
-    for fast, brute in pairs:
-        assert outcome(fast, T) == outcome(brute, T), fast.__name__
+    assert outcome(quasi_idempotents, T) == outcome(brute_quasi_idempotents, T)
     for i in range(T.dim):
         assert outcome(principal_support, T, i) == outcome(
             brute_principal_support, T, i
         )
-    # placement is never weaker than counting the recovered poset's pairs:
-    # when both routes return and the table is placed, the strict pairs
-    # are the placed pairs off the diagonal, so with it they number dim
-    try:
-        P = recover_by_ideal_products(T)
-        recover_by_links(T)
-        starts, ends = T.placement()
-    except PosetAlgebraError:
+    # the routes refuse exactly what the table's checks refuse; on a table
+    # they accept, the literal routes return too, and agree
+    refused = table_refusal(T)
+    routes = [
+        (recover_by_ideal_products, brute_recover_by_ideal_products),
+        (recover_by_links, brute_recover_by_links),
+        (recovered_links, brute_links),
+    ]
+    for fast, brute in routes:
+        if refused:
+            assert refusal(fast, T) == refused, fast.__name__
+        else:
+            assert fast(T) == brute(T), fast.__name__
+    if refused:
         return
-    pos = {q: x for x, q in enumerate(quasi_idempotents(T))}
-    placed = {(pos[x], pos[y]) for x, y in zip(starts, ends) if x != y}
-    assert set(P.strict_pairs()) == placed
+    # the strict pairs are the placed pairs off the diagonal, so with the
+    # diagonal they number dim
+    P = recover_by_ideal_products(T)
+    assert set(P.strict_pairs()) == placed_strict_pairs(T)
     assert P.n + P.strict_pair_count() == T.dim
 
 
@@ -117,7 +139,7 @@ def test_random_monomial_tables_match_oracles(T):
 @given(posets(max_n=3), st.integers(0, 2**30), st.data())
 def test_damaged_incidence_tables_match_oracles(P, seed, data):
     # scrambled incidence tables with some products removed: often still
-    # associative, and then the routes' own diagnostics are exercised
+    # associative, and then the placement's refusals are exercised
     T = scramble(IncidenceAlgebra(P, "reflexive").multiplication_table(), seed)
     keys = sorted(T.entries)
     dropped = data.draw(st.sets(st.sampled_from(keys), max_size=3)) if keys else ()
@@ -141,6 +163,7 @@ def three_squares_and(*products):
 def test_diagnostic_tables_match_oracles():
     assert_matches_oracles(c2_group_table())
     assert_matches_oracles(quiver_path_table())
+    assert_matches_oracles(matrix_units_table())
     # index 2 is reached by no product and sits outside every M_x * M_y
     one = Fraction(1)
     unreached = MultiplicationTable(3, {(0, 0): (one, 0), (1, 1): (one, 1)})
@@ -199,6 +222,43 @@ def test_every_one_entry_edit_is_judged_soundly():
         for key in sorted(T.entries):
             for edit in ("drop", "negate", "triple"):
                 assert_sound(edited(T, key, edit))
+
+
+def one_entry_edits(T):
+    """Every table one entry away from T: each entry dropped, negated,
+    tripled, or retargeted to land on each other index."""
+    for key in sorted(T.entries):
+        for edit in ("drop", "negate", "triple"):
+            yield edited(T, key, edit)
+        c, k = T.entries[key]
+        for other in range(T.dim):
+            if other != k:
+                yield MultiplicationTable(T.dim, {**T.entries, key: (c, other)})
+
+
+def test_routes_refuse_exactly_what_the_placement_refuses():
+    routes = (recover_by_ideal_products, recover_by_links)
+    accepted = refused = 0
+    for P in (chain(4), boolean_lattice(2), sphere()):
+        T = scramble(IncidenceAlgebra(P, "reflexive").multiplication_table(), 5)
+        for E in one_entry_edits(T):
+            if E.associativity_witness() is not None:
+                continue
+            placement = refusal(E.placement)
+            if placement:
+                assert placement[0] is NoPosetBehindTable
+                assert [refusal(route, E) for route in routes] == [placement] * 2
+                refused += 1
+                continue
+            via_products, via_links = (route(E) for route in routes)
+            assert via_products == via_links
+            assert set(via_products.strict_pairs()) == placed_strict_pairs(E)
+            accepted += 1
+    # the negated and tripled products with no quasi-idempotent factor of
+    # boolean_lattice(2) and sphere() stay associative and placed; dropping
+    # one leaves an associative table that the pair count refuses; no
+    # retargeted table is associative
+    assert (accepted, refused) == (20, 10)
 
 
 def test_duplicated_index_is_not_certified():
