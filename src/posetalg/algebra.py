@@ -298,7 +298,7 @@ class MultiplicationTable:
     (the table is associative but is not a rescaled incidence table)."""
 
     __slots__ = ("dim", "entries", "right", "left", "landing", "square",
-                 "_witness", "_certified", "__weakref__")
+                 "_witness", "_certified", "_placed", "__weakref__")
 
     def __init__(self, dim, entries):
         if type(dim) is not int or dim < 0:  # refuses bools, as from_json_text does
@@ -337,7 +337,7 @@ class MultiplicationTable:
             q: hit[0] for q, row in right.items() if (hit := row.get(q)) and hit[1] == q
         }
         self._witness = _UNCHECKED
-        self._certified = None
+        self._certified = self._placed = None
 
     def __eq__(self, other):
         return (
@@ -379,7 +379,18 @@ class MultiplicationTable:
         quasi-idempotent acting on b_k from the left, and from the right, each
         by its square's coefficient.  Raises NoPosetBehindTable naming what fails
         unless the placement is injective, places no two indices at (x, y) and
-        (y, x) with x != y, and its composable pairs number the entries."""
+        (y, x) with x != y, and its composable pairs number the entries.
+        Computed once; callers must not mutate the lists."""
+        if self._placed is None:
+            try:
+                self._placed = self._place()
+            except NoPosetBehindTable as e:
+                self._placed = str(e)
+        if type(self._placed) is str:
+            raise NoPosetBehindTable(self._placed)
+        return self._placed
+
+    def _place(self):
         dim, right, left = self.dim, self.right, self.left
         if len(left) < dim or len(right) < dim:  # named before any dim-sized list
             k = next(k for k in count() if k not in left or k not in right)

@@ -15,7 +15,9 @@ places (a certified table is placed):
       nonzero multiple of themselves; these are the images of the diagonal
       generators).  x lies strictly below y exactly when the two-sided
       ideals they generate have a nonzero product, that is when some right
-      factor of a member of I_x lies in I_y.
+      factor of a member of I_x lies in I_y.  One walk of the members fills
+      owner[k], the elements y with b_k in I_y, and row x ORs owner[b] over
+      those factors: O(entries) ORs of n-bit ints, no element-pair loop.
 
   recover_by_links
       Dropping a quasi-idempotent e_x from the full support gives a maximal
@@ -49,27 +51,33 @@ def quasi_idempotents(table):
 def _placed_quasi_idempotents(table):
     """quasi_idempotents(table), once table.placement() places the table."""
     qs = quasi_idempotents(table)
-    if not table.certified():
-        table.placement()
+    table.placement()
     return qs
 
 
-def principal_support(table, i):
-    """Support mask of the two-sided ideal generated by basis element i.
+def _members(table, i):
+    """Indices spanning the two-sided ideal I_i, repeats allowed.
 
     In an associative monomial table every word a b_i b is a multiple of
     one product (a b_i) b, so the ideal is spanned by b_i, its right
     products R, its left products L and the right products of L.
     """
-    table.ensure_associative()
     right, none = table.right, {}
-    support = 1 << i
+    yield i
     for _, k in right.get(i, none).values():
-        support |= 1 << k
-    for l in {l for _, l in table.left.get(i, none).values()}:
-        support |= 1 << l
+        yield k
+    for _, l in table.left.get(i, none).values():
+        yield l
         for _, k in right.get(l, none).values():
-            support |= 1 << k
+            yield k
+
+
+def principal_support(table, i):
+    """Support mask of the two-sided ideal generated by basis element i."""
+    table.ensure_associative()
+    support = 0
+    for k in _members(table, i):
+        support |= 1 << k
     return support
 
 
@@ -81,20 +89,21 @@ def recover_by_ideal_products(table):
     """Poset on the quasi-idempotents with x < y iff I_x * I_y != 0, that is
     iff some right factor of a member of I_x lies in I_y."""
     qs = _placed_quasi_idempotents(table)
-    n = len(qs)
-    supports = [principal_support(table, q) for q in qs]
-    right, none = table.right, {}
-    rows = [0] * n
+    right = table.right
+    owner = [0] * table.dim  # owner[k]: the elements y with b_k in I_y
+    for y, q in enumerate(qs):
+        bit = 1 << y
+        for k in _members(table, q):
+            owner[k] |= bit
+    rows = []
     for x, q in enumerate(qs):
         # (a b_q b) c != 0 forces (b_q b) c != 0, so the right factors of
-        # the members of I_q are those of b_q and of its right products
-        factors = 0
-        for r in {q} | {r for _, r in right.get(q, none).values()}:
-            for b in right.get(r, none):
-                factors |= 1 << b
-        for y in range(n):
-            if x != y and factors & supports[y]:
-                rows[x] |= 1 << y
+        # the members of I_q are those of its right products, b_q among them
+        row = 0
+        for _, r in right[q].values():
+            for b in right[r]:
+                row |= owner[b]
+        rows.append(row & ~(1 << x))
     return Poset(_labels_for(qs), rows)
 
 

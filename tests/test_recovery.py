@@ -39,6 +39,7 @@ from posetalg.oracles import (
 )
 
 from _strategies import posets
+import golden
 
 
 def table_of(P):
@@ -106,6 +107,50 @@ def test_links_on_unscrambled_tables_are_covers():
         assert set(recovered_links(T)) == {(c.x, c.y) for c in covers(P)}
         assert recover_by_links(T).up == P.up
         assert recover_by_ideal_products(T).up == P.up
+
+
+@pytest.mark.parametrize(
+    "P",
+    [antichain(64), random_poset(26, 0.03, 7), random_poset(30, 0.05, 2)],
+    ids=["antichain64", "random26", "random30"],
+)
+def test_ideal_products_match_the_oracle_on_wide_scrambles(P):
+    for seed in (1, 7):
+        S = scramble(table_of(P), seed)
+        assert recover_by_ideal_products(S) == brute_recover_by_ideal_products(S)
+
+
+@pytest.mark.parametrize(
+    "P", [random_poset(80, 0.03, 1), random_poset(40, 0.1, 3)], ids=["random80", "random40"]
+)
+def test_ideal_products_rename_the_source_on_wide_scrambles(P):
+    # the oracle takes seconds here, so compare with P renamed by the
+    # scramble's own permutation of the diagonal generators
+    rows = verify_roundtrip(P, seeds=(1, 7))
+    assert [r["ideal_products_exact"] for r in rows] == [True, True]
+
+
+def test_recover_table_places_a_table_once(monkeypatch):
+    # the scale solve misses this associative placed table, so certified()
+    # places it and both routes need the placement again
+    calls = []
+    place = MultiplicationTable._place
+
+    def counted(table):
+        calls.append(table)
+        return place(table)
+
+    monkeypatch.setattr(MultiplicationTable, "_place", counted)
+    T = dict(golden.special_tables())["sphere_negated_seed1"]
+    assert not T.certified()
+    recover_table(T)
+    assert len(calls) == 1
+    # a refusal is kept as well, and raised again with the same message
+    T = matrix_units_table()
+    assert set(route_refusals(T).values()) == {
+        (NoPosetBehindTable, MATRIX_UNITS_REFUSAL)
+    }
+    assert len(calls) == 2
 
 
 def test_roundtrip_report():
