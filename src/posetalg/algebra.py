@@ -107,11 +107,13 @@ class IncidenceAlgebra:
 
     def _gen_index(self, key):
         if isinstance(key, tuple):
-            key = Pair(*key)
-            if key not in self.index:
+            # (True, 1) and (0.0, 1.0) would hash as the pairs (1, 1) and (0, 1)
+            ints = len(key) == 2 and type(key[0]) is int and type(key[1]) is int
+            if not ints or key not in self.index:
                 raise KeyError("%r is not a generator pair" % (key,))
             return self.index[key]
-        key = int(key)
+        if type(key) is not int:  # int() would truncate 1.7, True and '2'
+            raise KeyError("%r is neither a generator index nor a pair" % (key,))
         if not 0 <= key < self.dim:
             raise KeyError("generator index %d out of range" % key)
         return key

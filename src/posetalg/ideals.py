@@ -42,7 +42,7 @@ class Ideal:
 
     def __init__(self, algebra, up_mask):
         G = algebra.pair_poset()
-        if not 0 <= up_mask < 1 << algebra.dim:
+        if type(up_mask) is not int or not 0 <= up_mask < 1 << algebra.dim:
             raise ValueError(
                 "mask %r names no set of %d generators" % (up_mask, algebra.dim)
             )

@@ -2,22 +2,26 @@
 
 Input is a bare monomial table: no labels, no pair structure, just dim and
 entries.  Everything works at the level of index supports, which survive
-basis rescaling untouched (monomial products never cancel).  A support is a
-plain int bitmask, bit k for basis index k, and the table is read through
-its indexes of present products: MultiplicationTable.right and .left by
-factor, and .landing by the index each product lands on.
+basis rescaling untouched (monomial products never cancel).  The table is
+read through its placement and its index of present products by the index
+each lands on, MultiplicationTable.landing.
 
-Two independent routes, each on a table MultiplicationTable.placement()
-places (a certified table is placed):
+Two routes, each on a table MultiplicationTable.placement() places (a
+certified table is placed).  Both read the placement, so a fault in it
+moves both the same way and their agreement does not check it; the
+independent check is the comparison with the literal routes of oracles.py
+in tests/test_table_oracles.py.
 
   recover_by_ideal_products
       Elements are the quasi-idempotents (basis vectors whose square is a
       nonzero multiple of themselves; these are the images of the diagonal
       generators).  x lies strictly below y exactly when the two-sided
-      ideals they generate have a nonzero product, that is when some right
-      factor of a member of I_x lies in I_y.  One walk of the members fills
-      owner[k], the elements y with b_k in I_y, and row x ORs owner[b] over
-      those factors: O(entries) ORs of n-bit ints, no element-pair loop.
+      ideals they generate have a nonzero product.  In a unital algebra
+      I_x I_y = A e_x A e_y A, which is nonzero exactly when the Peirce
+      block e_x A e_y is, and on a placed table e_x b_k e_y != 0 exactly
+      when k is placed at (x, y).  So the order is read off the placement
+      in O(dim).  The literal ideal products are
+      brute_recover_by_ideal_products in oracles.py.
 
   recover_by_links
       Dropping a quasi-idempotent e_x from the full support gives a maximal
@@ -49,36 +53,9 @@ def quasi_idempotents(table):
 
 
 def _placed_quasi_idempotents(table):
-    """quasi_idempotents(table), once table.placement() places the table."""
-    qs = quasi_idempotents(table)
-    table.placement()
-    return qs
-
-
-def _members(table, i):
-    """Indices spanning the two-sided ideal I_i, repeats allowed.
-
-    In an associative monomial table every word a b_i b is a multiple of
-    one product (a b_i) b, so the ideal is spanned by b_i, its right
-    products R, its left products L and the right products of L.
-    """
-    right, none = table.right, {}
-    yield i
-    for _, k in right.get(i, none).values():
-        yield k
-    for _, l in table.left.get(i, none).values():
-        yield l
-        for _, k in right.get(l, none).values():
-            yield k
-
-
-def principal_support(table, i):
-    """Support mask of the two-sided ideal generated by basis element i."""
-    table.ensure_associative()
-    support = 0
-    for k in _members(table, i):
-        support |= 1 << k
-    return support
+    """quasi_idempotents(table) and table.placement(), which refuses a table
+    that no poset is behind."""
+    return quasi_idempotents(table), table.placement()
 
 
 def _labels_for(indices):
@@ -86,37 +63,30 @@ def _labels_for(indices):
 
 
 def recover_by_ideal_products(table):
-    """Poset on the quasi-idempotents with x < y iff I_x * I_y != 0, that is
-    iff some right factor of a member of I_x lies in I_y."""
-    qs = _placed_quasi_idempotents(table)
-    right = table.right
-    owner = [0] * table.dim  # owner[k]: the elements y with b_k in I_y
-    for y, q in enumerate(qs):
-        bit = 1 << y
-        for k in _members(table, q):
-            owner[k] |= bit
-    rows = []
-    for x, q in enumerate(qs):
-        # (a b_q b) c != 0 forces (b_q b) c != 0, so the right factors of
-        # the members of I_q are those of its right products, b_q among them
-        row = 0
-        for _, r in right[q].values():
-            for b in right[r]:
-                row |= owner[b]
-        rows.append(row & ~(1 << x))
+    """Poset on the quasi-idempotents with x < y iff I_x * I_y != 0.
+
+    I_x I_y = A e_x A e_y A is nonzero iff e_x A e_y is, as A is unital:
+    placement() checked that e_q b_k = c_q b_k for each k placed at (q, .)
+    and b_k e_q = c_q b_k for each k placed at (., q), c_q the coefficient
+    of e_q's square, so the sum of the e_q / c_q is a unit.  And
+    e_x b_k e_y != 0 iff index k is placed at (x, y)."""
+    qs, (starts, ends) = _placed_quasi_idempotents(table)
+    pos = {q: x for x, q in enumerate(qs)}
+    rows = [0] * len(qs)
+    for q, r in zip(starts, ends):
+        if q != r:
+            rows[pos[q]] |= 1 << pos[r]
     return Poset(_labels_for(qs), rows)
 
 
 def _link_rows(table):
-    qs = _placed_quasi_idempotents(table)
+    qs, (starts, ends) = _placed_quasi_idempotents(table)
     pos = {q: x for x, q in enumerate(qs)}
     links = [0] * len(qs)
-    for products in table.landing.values():
+    for k, products in table.landing.items():
         # only e_x b_k and b_k e_y land on a k placed at a cover (x, y)
         if len(products) == 2:
-            (a, b), (c, d) = products
-            x, y = (a, d) if a in pos else (c, b)
-            links[pos[x]] |= 1 << pos[y]
+            links[pos[starts[k]]] |= 1 << pos[ends[k]]
     return qs, links
 
 

@@ -1,0 +1,232 @@
+"""Named text mutants of src/posetalg, each with the tests that must kill it.
+
+A mutant replaces one exact piece of text in one source file.  --check
+copies src/ to a temporary directory once per mutant, applies the mutant
+there and runs the mutant's tests against the copy; the mutant is killed
+when they fail.  Before any mutant it runs every listed test on the
+unmutated src/, so a kill is never a test that fails anyway.
+
+    python tests/mutants.py --check     # exit 1 if any mutant survives
+
+The script needs only the standard library; the tests it runs need pytest
+and hypothesis, as Tier-1 does.  tests/test_mutants.py checks in Tier-1 that
+each old text occurs exactly once in src/, so a refactor that moves a guard
+must bring its mutant along.  A guard added to src/ should add its mutant
+here.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(TESTS)
+SRC = os.path.join(ROOT, "src")
+
+# file is relative to src/posetalg; tests are pytest node ids or files,
+# relative to the repository root
+Mutant = namedtuple("Mutant", "name file old new tests")
+
+ALGEBRA = "tests/test_algebra.py"
+ORACLES = "tests/test_table_oracles.py"
+RECOVERY = "tests/test_recovery.py"
+
+MUTANTS = [
+    # IncidenceAlgebra._gen_index and Ideal: keys and masks are exact ints
+    Mutant(
+        "gen_index_int",
+        "algebra.py",
+        "if type(key) is not int:",
+        "if False:",
+        [ALGEBRA],
+    ),
+    Mutant(
+        "gen_index_int_pair",
+        "algebra.py",
+        "ints = len(key) == 2 and type(key[0]) is int and type(key[1]) is int",
+        "ints = True",
+        [ALGEBRA],
+    ),
+    Mutant(
+        "ideal_mask_int",
+        "ideals.py",
+        "if type(up_mask) is not int or ",
+        "if ",
+        ["tests/test_ideals.py"],
+    ),
+    # MultiplicationTable._place: the guards of placement()
+    Mutant(
+        "place_missing_index_first",
+        "algebra.py",
+        "if len(left) < dim or len(right) < dim:",
+        "if False:",
+        [ALGEBRA, "tests/test_cli.py"],
+    ),
+    Mutant(
+        "place_left_fix",
+        "algebra.py",
+        "if starts[j] is not None or hit != (c, j):",
+        "if starts[j] is not None:",
+        [ORACLES],
+    ),
+    Mutant(
+        "place_left_once",
+        "algebra.py",
+        "if starts[j] is not None or hit != (c, j):",
+        "if hit != (c, j):",
+        [ORACLES],
+    ),
+    Mutant(
+        "place_right_fix",
+        "algebra.py",
+        "if ends[i] is not None or hit != (c, i):",
+        "if ends[i] is not None:",
+        [ORACLES],
+    ),
+    Mutant(
+        "place_right_once",
+        "algebra.py",
+        "if ends[i] is not None or hit != (c, i):",
+        "if hit != (c, i):",
+        [ORACLES],
+    ),
+    Mutant(
+        "place_unplaced_or_shared",
+        "algebra.py",
+        "if None in starts or None in ends or len(at) < dim:",
+        "if False:",
+        [ORACLES],
+    ),
+    Mutant(
+        "place_unplaced",
+        "algebra.py",
+        "if None in xy:",
+        "if False:",
+        [ORACLES],
+    ),
+    Mutant(
+        "place_injective",
+        "algebra.py",
+        "if at.setdefault(xy, k) != k:",
+        "if False:",
+        [RECOVERY],
+    ),
+    Mutant(
+        "place_antisymmetric",
+        "algebra.py",
+        "if x != y and (y, x) in at:",
+        "if False:",
+        [RECOVERY],
+    ),
+    Mutant(
+        "place_pair_count",
+        "algebra.py",
+        "if pairs != n:",
+        "if False:",
+        [RECOVERY],
+    ),
+    # MultiplicationTable._certify: the three landing tests, the scale equation
+    Mutant(
+        "certify_composable",
+        "algebra.py",
+        "ends[i] != starts[j]\n                or",
+        "False\n                or",
+        [ORACLES],
+    ),
+    Mutant(
+        "certify_start",
+        "algebra.py",
+        "or starts[k] != starts[i]",
+        "or False",
+        [ORACLES],
+    ),
+    Mutant(
+        "certify_end",
+        "algebra.py",
+        "or ends[k] != ends[j]",
+        "or False",
+        [ORACLES],
+    ),
+    Mutant(
+        "certify_scales",
+        "algebra.py",
+        "or c.numerator * num[k]",
+        "or False and c.numerator * num[k]",
+        [ORACLES],
+    ),
+    # recovery: the order read off the placement, the links off landing
+    Mutant(
+        "ideal_route_off_diagonal",
+        "recovery.py",
+        "if q != r:",
+        "if True:",
+        [RECOVERY, ORACLES],
+    ),
+    Mutant(
+        "link_route_two_products",
+        "recovery.py",
+        "if len(products) == 2:",
+        "if len(products) >= 2:",
+        [RECOVERY, ORACLES],
+    ),
+]
+
+
+def src_text(file):
+    with open(os.path.join(SRC, "posetalg", file), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def run_tests(src, tests):
+    """pytest's exit code for tests run against the package under src."""
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    return done.returncode
+
+
+def run_mutant(m, scratch):
+    """pytest's exit code for m's tests against a copy of src/ with m applied."""
+    copy = os.path.join(scratch, m.name)
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    path = os.path.join(copy, "posetalg", m.file)
+    text = src_text(m.file)
+    if text.count(m.old) != 1:
+        raise SystemExit("mutant %s: its old text is not in %s once" % (m.name, m.file))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(m.old, m.new))
+    try:
+        return run_tests(copy, m.tests)
+    finally:
+        shutil.rmtree(copy)
+
+
+def check(mutants):
+    tests = sorted({t for m in mutants for t in m.tests})
+    if run_tests(SRC, tests) != 0:
+        print("the unmutated source fails its own tests: %s" % " ".join(tests))
+        return 1
+    survived = 0
+    with tempfile.TemporaryDirectory(prefix="posetalg-mutants-") as scratch:
+        for m in mutants:
+            code = run_mutant(m, scratch)
+            # pytest exits 1 when a test failed; anything else is no kill
+            verdict = "killed" if code == 1 else "SURVIVED (pytest exit %d)" % code
+            survived += code != 1
+            print("mutant %s: %s" % (m.name, verdict), flush=True)
+    print("summary: %d mutants, %d survived" % (len(mutants), survived))
+    return 1 if survived else 0
+
+
+def main(argv):
+    if argv != ["--check"]:
+        raise SystemExit("usage: python tests/mutants.py --check")
+    return check(MUTANTS)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -114,6 +114,28 @@ def test_empty_poset_unit_is_zero():
 # element arithmetic
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda A: A.generator(1.7),
+        lambda A: A.generator(True),
+        lambda A: A.generator("2"),
+        lambda A: A.element({0.5: 1}),
+        lambda A: A.element({(0, 1): 1}).coefficient(1.9),
+        lambda A: A.generator((True, 1)),
+        lambda A: A.generator((0.0, 1.0)),
+        lambda A: A.generator((0, 1, 2)),
+    ],
+    ids=["float", "bool", "str", "float_element", "float_coefficient",
+         "bool_pair", "float_pair", "triple"],
+)
+def test_generator_keys_are_ints_or_pairs(call):
+    # int() would read the first five as indices 1, 1, 2, 0 and 1, and the
+    # pairs below them hash as [b,b] and [a,b]
+    with pytest.raises(KeyError):
+        call(A_of(chain(3)))
+
+
 def test_element_repr():
     A = A_of(chain(2))
     f = A.element({0: Fraction(1), 2: Fraction(3)})

@@ -74,6 +74,14 @@ def test_masks_must_be_up_closed(convention, mask, outcome):
         Ideal(IncidenceAlgebra(chain(2), convention), mask)
 
 
+def test_masks_must_be_ints():
+    # 2.5 is no bitmask, and True would pass as the mask 1
+    with pytest.raises(ValueError):
+        Ideal(A_of(chain(2)), 2.5)
+    with pytest.raises(ValueError):
+        Ideal(A_of(antichain(1)), True)
+
+
 def test_every_ideal_the_library_builds_is_up_closed(exhaustive4):
     # the library skips the constructor's check on the ideals it builds
     for P in exhaustive4:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -17,7 +17,6 @@ from posetalg import (
     boolean_lattice,
     chain,
     poset_from_relations,
-    principal_support,
     quasi_idempotents,
     random_poset,
     recover_by_ideal_products,
@@ -29,7 +28,6 @@ from posetalg.algebra import _solve_scales
 from posetalg.oracles import (
     brute_associativity_witness,
     brute_maximal_supports,
-    brute_principal_support,
     brute_quasi_idempotents,
     brute_recover_by_ideal_products,
     brute_recover_by_links,
@@ -85,10 +83,6 @@ def assert_matches_oracles(T):
     # that is not associative shows here as None against the oracle's triple
     assert T.associativity_witness() == brute_associativity_witness(T)
     assert outcome(quasi_idempotents, T) == outcome(brute_quasi_idempotents, T)
-    for i in range(T.dim):
-        assert outcome(principal_support, T, i) == outcome(
-            brute_principal_support, T, i
-        )
     # the routes refuse exactly what the table's checks refuse; on a table
     # they accept, the literal routes return too, and agree
     refused = table_refusal(T)
@@ -195,19 +189,6 @@ def edited(T, key, edit):
     return MultiplicationTable(T.dim, entries)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    posets(max_n=5).filter(lambda P: P.n),
-    st.integers(0, 2**30),
-    st.sampled_from(["drop", "negate", "triple"]),
-    st.data(),
-)
-def test_certified_edited_incidence_tables_are_associative(P, seed, edit, data):
-    T = scramble(IncidenceAlgebra(P, "reflexive").multiplication_table(), seed)
-    key = data.draw(st.sampled_from(sorted(T.entries)))
-    assert_sound(edited(T, key, edit))
-
-
 def sphere():
     """a1,a2 < b1,b2 < c1,c2: its order complex is a 2-sphere."""
     low, mid, high = ("a1", "a2"), ("b1", "b2"), ("c1", "c2")
@@ -222,10 +203,14 @@ def one_entry_edits(T):
     for key in sorted(T.entries):
         for edit in ("drop", "negate", "triple"):
             yield edited(T, key, edit)
-        c, k = T.entries[key]
         for other in range(T.dim):
-            if other != k:
-                yield MultiplicationTable(T.dim, {**T.entries, key: (c, other)})
+            if other != T.entries[key][1]:
+                yield retargeted(T, key, other)
+
+
+def retargeted(T, key, other):
+    """T with the entry at key landing on index other."""
+    return MultiplicationTable(T.dim, {**T.entries, key: (T.entries[key][0], other)})
 
 
 def misrouted(T):
@@ -240,6 +225,29 @@ def misrouted(T):
             del entries[i, j]
             entries[j, i] = (c, target)
             yield MultiplicationTable(T.dim, entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    posets(max_n=5).filter(lambda P: P.n),
+    st.integers(0, 2**30),
+    st.sampled_from(["drop", "negate", "triple", "retarget", "misroute"]),
+    st.data(),
+)
+def test_certified_edited_incidence_tables_are_associative(P, seed, edit, data):
+    T = scramble(IncidenceAlgebra(P, "reflexive").multiplication_table(), seed)
+    if edit == "misroute":
+        misroutes = list(misrouted(T))
+        assume(misroutes)
+        assert_sound(data.draw(st.sampled_from(misroutes)))
+        return
+    key = data.draw(st.sampled_from(sorted(T.entries)))
+    if edit == "retarget":
+        assume(T.dim > 1)
+        shift = data.draw(st.integers(1, T.dim - 1))
+        assert_sound(retargeted(T, key, (T.entries[key][1] + shift) % T.dim))
+    else:
+        assert_sound(edited(T, key, edit))
 
 
 def test_every_one_entry_edit_is_judged_soundly():
@@ -317,6 +325,13 @@ def test_placement_names_what_failed():
             3,
             {(0, 0): (one, 0), (1, 1): (one, 1), (0, 2): (one, 2),
              (1, 2): (one, 2), (2, 1): (one, 2)},
+            "index 2 claimed by quasi-idempotents 0 and 1",
+        ),
+        # the mirror: b_2 b_0 = b_2 b_1 = b_2
+        (
+            3,
+            {(0, 0): (one, 0), (1, 1): (one, 1), (2, 0): (one, 2),
+             (2, 1): (one, 2), (1, 2): (one, 2)},
             "index 2 claimed by quasi-idempotents 0 and 1",
         ),
     ]
