@@ -300,7 +300,7 @@ class MultiplicationTable:
     (the table is associative but is not a rescaled incidence table)."""
 
     __slots__ = ("dim", "entries", "right", "left", "landing", "square",
-                 "_witness", "_certified", "_placed", "__weakref__")
+                 "_witness", "_placed", "__weakref__")
 
     def __init__(self, dim, entries):
         if type(dim) is not int or dim < 0:  # refuses bools, as from_json_text does
@@ -339,7 +339,7 @@ class MultiplicationTable:
             q: hit[0] for q, row in right.items() if (hit := row.get(q)) and hit[1] == q
         }
         self._witness = _UNCHECKED
-        self._certified = self._placed = None
+        self._placed = None
 
     def __eq__(self, other):
         return (
@@ -359,7 +359,8 @@ class MultiplicationTable:
         table, or has (i, j) absent while b_j b_l and the outer product are
         both present; the two sweeps below try only the l, resp. i, with a
         product present, since every other one gives zero on both sides.
-        Computed once.
+        Computed once; this verdict, not certified()'s, is what the table
+        keeps.
         """
         if self._witness is _UNCHECKED:
             self._witness = None if self.certified() else self._first_witness()
@@ -367,14 +368,32 @@ class MultiplicationTable:
 
     def certified(self):
         """True when the table is shown to be a rescaled incidence table of
-        a poset, and hence associative, in O(entries).  Computed once.
+        a poset, and hence associative, in O(entries).  Computed on each
+        call; only the placement it reads is kept.
         The table must be placed, and scales s must give b_i b_j =
         (s_i s_j / s_k) b_k on every entry, with k placed at (x_i, y_j); then
         k -> s_k E_xy maps the table onto a span of scaled matrix units closed
         under products.  False says only that no certificate was found."""
-        if self._certified is None:
-            self._certified = self._certify()
-        return self._certified
+        try:
+            starts, ends = self.placement()
+        except NoPosetBehindTable:
+            return False
+        square = self.square
+        # placement() checked the entries with a quasi-idempotent factor
+        num, den = _solve_scales(self, starts, ends)
+        for (i, j), (c, k) in self.entries.items():
+            if i in square or j in square:
+                continue
+            if (
+                ends[i] != starts[j]
+                or starts[k] != starts[i]
+                or ends[k] != ends[j]
+                # c s_k == s_i s_j, cross-multiplied over the integers
+                or c.numerator * num[k] * den[i] * den[j]
+                != c.denominator * den[k] * num[i] * num[j]
+            ):
+                return False
+        return True
 
     def placement(self):
         """(starts, ends), index k placed at (starts[k], ends[k]): the one
@@ -427,28 +446,6 @@ class MultiplicationTable:
             why = "%d entries but %d composable placed pairs" % (n, pairs)
             raise NoPosetBehindTable(why)
         return starts, ends
-
-    def _certify(self):
-        try:
-            starts, ends = self.placement()
-        except NoPosetBehindTable:
-            return False
-        entries, square = self.entries, self.square
-        # placement() checked the entries with a quasi-idempotent factor
-        num, den = _solve_scales(self, square, starts, ends)
-        for (i, j), (c, k) in entries.items():
-            if i in square or j in square:
-                continue
-            if (
-                ends[i] != starts[j]
-                or starts[k] != starts[i]
-                or ends[k] != ends[j]
-                # c s_k == s_i s_j, cross-multiplied over the integers
-                or c.numerator * num[k] * den[i] * den[j]
-                != c.denominator * den[k] * num[i] * num[j]
-            ):
-                return False
-        return True
 
     def _first_witness(self):
         right, left, none = self.right, self.left, {}
@@ -588,7 +585,7 @@ def _coefficient(text, coeff, row):
     return c
 
 
-def _solve_scales(table, square, starts, ends):
+def _solve_scales(table, starts, ends):
     """Scales s with s_i s_j = c s_k on the entries free of quasi-idempotent
     factors, in a table whose index k is placed at (starts[k], ends[k]);
     s_q is the square coefficient of each quasi-idempotent q, and s_u is
@@ -599,12 +596,13 @@ def _solve_scales(table, square, starts, ends):
     spanning forest of the undirected cover graph are set to 1, which a
     rescaling of the basis can always arrange, and every equation with two
     known scales then gives the third (a cross-multiplication and a gcd).
-    When that stalls, the first unknown scale becomes a parameter t,
-    carried as exponents beside the rational part.  An equation that closes
-    with some parameter to the power 1 or -1 solves for it in terms of the
-    others, and a parameter never solved for is left at 1.  Propagation
-    stops once every scale is known and no parameter is open."""
-    right, left, landing = table.right, table.left, table.landing
+    When that stalls, the first unknown scale s_u becomes a parameter t_u,
+    named by the index u, and carried as exponents beside the rational
+    part.  An equation that closes with some parameter to the power 1 or -1
+    solves for the lowest such in terms of the others, and a parameter
+    never solved for is left at 1.  Propagation stops once every scale is
+    known and no parameter is open."""
+    right, left, landing, square = table.right, table.left, table.landing, table.square
     dim = len(starts)
     num = [None] * dim
     den = [1] * dim
@@ -629,7 +627,6 @@ def _solve_scales(table, square, starts, ends):
                 todo.append(k)
     missing = num.count(None)
     exponents = {}  # index -> {parameter: power} while its scale has one
-    mentions = {}  # parameter -> the indices whose exponents name it
     none = {}
 
     def power_sum(*signed):
@@ -651,8 +648,6 @@ def _solve_scales(table, square, starts, ends):
         e = power_sum((a, 1), (b, sign)) if exponents else none
         if e:
             exponents[u] = e
-            for p in e:
-                mentions[p].add(u)
 
     def pin(i, j, c, k):
         e = power_sum((i, 1), (j, 1), (k, -1))
@@ -664,16 +659,13 @@ def _solve_scales(table, square, starts, ends):
         # t = (c s_k / (s_i s_j)) ** sign = (tn / td) ** sign
         tn = c.numerator * num[k] * den[i] * den[j]
         td = c.denominator * den[k] * num[i] * num[j]
-        for m in mentions.pop(p):
-            rest = exponents.get(m, none)
-            power = rest.pop(p, 0)
-            if not power:
-                continue  # a stale mention: that power has cancelled
+        for m in [m for m, rest in exponents.items() if p in rest]:
+            rest = exponents[m]
+            power = rest.pop(p)
             n, d = (tn, td) if sign * power > 0 else (td, tn)
             store(m, num[m] * n ** abs(power), den[m] * d ** abs(power))
             for q, f in e.items():
                 rest[q] = rest.get(q, 0) - sign * f * power
-                mentions[q].add(m)
             exponents[m] = {q: f for q, f in rest.items() if f}
             if not exponents[m]:
                 del exponents[m]
@@ -692,7 +684,6 @@ def _solve_scales(table, square, starts, ends):
             pin(i, j, c, k)
 
     unknown = iter(range(dim))
-    fresh = count()
     while True:
         while todo and (missing or exponents):
             a = todo.pop()
@@ -708,11 +699,9 @@ def _solve_scales(table, square, starts, ends):
         if not missing:
             return num, den
         u = next(u for u in unknown if num[u] is None)
-        p = next(fresh)
         num[u] = 1
         missing -= 1
-        exponents[u] = {p: 1}
-        mentions[p] = {u}
+        exponents[u] = {u: 1}
         todo.append(u)
 
 

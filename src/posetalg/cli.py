@@ -21,7 +21,6 @@ from .ideals import (
     maximal_indecomposable_ideals,
 )
 from .poset import (
-    PairPoset,
     covers,
     format_poset,
     hasse_dot,
@@ -189,7 +188,7 @@ def cmd_export(args):
     if args.what == "hasse":
         text = hasse_dot(P)
     elif args.what == "pairs":
-        text = pair_poset_dot(PairPoset(P))
+        text = pair_poset_dot(IncidenceAlgebra(P, args.convention).pair_poset())
     elif args.what == "ideal-lattice":
         A = IncidenceAlgebra(P, args.convention)
         text = ideal_lattice_dot(A, cap=args.cap)

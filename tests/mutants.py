@@ -33,6 +33,8 @@ Mutant = namedtuple("Mutant", "name file old new tests")
 ALGEBRA = "tests/test_algebra.py"
 ORACLES = "tests/test_table_oracles.py"
 RECOVERY = "tests/test_recovery.py"
+CHECKS = "tests/test_checks.py"
+REWRITING = "tests/test_rewriting.py"
 
 MUTANTS = [
     # IncidenceAlgebra._gen_index and Ideal: keys and masks are exact ints
@@ -128,7 +130,7 @@ MUTANTS = [
         "if False:",
         [RECOVERY],
     ),
-    # MultiplicationTable._certify: the three landing tests, the scale equation
+    # MultiplicationTable.certified: the three landing tests, the scale equation
     Mutant(
         "certify_composable",
         "algebra.py",
@@ -156,6 +158,127 @@ MUTANTS = [
         "or c.numerator * num[k]",
         "or False and c.numerator * num[k]",
         [ORACLES],
+    ),
+    # _solve_scales: the spanning forest of covers set to 1
+    Mutant(
+        "scales_forest_new_tree",
+        "algebra.py",
+        "if a != b:",
+        "if True:",
+        [ORACLES],
+    ),
+    Mutant(
+        "scales_forest_join",
+        "algebra.py",
+        "root[a] = b",
+        "root[a] = a",
+        [ORACLES],
+    ),
+    # _solve_scales: propagation, its early stop and the learned exponents.
+    # Dropping propagation through left[a] survives every test: the stall
+    # path pins what it would learn, so only the stall count shows it
+    Mutant(
+        "scales_propagate_landing",
+        "algebra.py",
+        "for i, j in landing.get(a, ()):",
+        "for i, j in ():",
+        [ORACLES],
+    ),
+    Mutant(
+        "scales_early_stop",
+        "algebra.py",
+        "while todo and (missing or exponents):",
+        "while todo and missing:",
+        [ORACLES],
+    ),
+    Mutant(
+        "scales_learn_sign",
+        "algebra.py",
+        "(b, sign)",
+        "(b, 1)",
+        [ORACLES],
+    ),
+    Mutant(
+        "scales_store_positive_den",
+        "algebra.py",
+        "g = gcd(n, d) if d > 0 else -gcd(n, d)",
+        "g = gcd(n, d)",
+        [ORACLES],
+    ),
+    # _solve_scales: the stall path's pin
+    Mutant(
+        "scales_settle_pins",
+        "algebra.py",
+        "elif exponents:",
+        "elif False:",
+        [ORACLES],
+    ),
+    Mutant(
+        "scales_pin_unit_power",
+        "algebra.py",
+        "e[p] in (1, -1)",
+        "e[p] == 1",
+        [ORACLES],
+    ),
+    Mutant(
+        "scales_pin_power_sign",
+        "algebra.py",
+        "sign * power > 0",
+        "power > 0",
+        [ORACLES],
+    ),
+    Mutant(
+        "scales_pin_rest_sign",
+        "algebra.py",
+        "- sign * f * power",
+        "+ sign * f * power",
+        [ORACLES],
+    ),
+    # permuted_rescaled: the unreduced pair c s_i s_j / s_k
+    Mutant(
+        "rescale_den_k",
+        "algebra.py",
+        "nums[j] * dens[k]",
+        "nums[j]",
+        [ALGEBRA],
+    ),
+    # checks: the span leg of product_lemma, maximality's second leg
+    Mutant(
+        "product_lemma_span_members",
+        "checks.py",
+        "if J >> b & 1:",
+        "if True:",
+        [CHECKS],
+    ),
+    Mutant(
+        "maximality_proper_ideal_leg",
+        "checks.py",
+        "if I.up_mask != full:",
+        "if False:",
+        [CHECKS],
+    ),
+    # poset._antichain_count: an antichain holding i holds nothing below it
+    Mutant(
+        "antichain_count_below",
+        "poset.py",
+        "(above[i] | below[i])",
+        "above[i]",
+        ["tests/test_poset.py"],
+    ),
+    # rewriting: the 3-letter window first, and the 3-letter rules in dims
+    Mutant(
+        "reduce_word_window_order",
+        "rewriting.py",
+        "lhs = tuple(out[-3:])\n        if lhs not in rules:\n            lhs = lhs[-2:]",
+        "lhs = tuple(out[-2:])\n        if lhs not in rules:\n            lhs = tuple(out[-3:])",
+        [REWRITING],
+    ),
+    Mutant(
+        "dimension_free3",
+        "rewriting.py",
+        "iterbits(free[b] & free3[a * n + b])",
+        "iterbits(free[b])",
+        [REWRITING],
     ),
     # recovery: the order read off the placement, the links off landing
     Mutant(

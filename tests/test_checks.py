@@ -77,6 +77,21 @@ def test_maximality_catches_a_missing_maximal_ideal(monkeypatch):
     assert not r.passed and "in no maximal ideal" in r.detail
 
 
+def test_maximality_keeps_its_second_leg_past_the_cap(monkeypatch):
+    # chain(5) has 15 comparable pairs, past the cap of 12: no ideal is
+    # listed, yet withholding one maximal ideal still fails, naming the
+    # ideal the other dropped pairs generate, which misses [e,e]
+    P = chain(5)
+    A = IncidenceAlgebra(P, "reflexive")
+    assert A.pair_poset().size == 15
+    assert checks.check_maximality(P, A, 12) == ("maximality", True, "", False)
+    monkeypatch.setattr(checks, "maximal_ideals", lambda A: maximal_ideals(A)[:-1])
+    r = checks.check_maximality(P, A, 12)
+    assert not r.passed and not r.skipped
+    assert r.detail.endswith("in no maximal ideal")
+    assert "[a,a]" in r.detail and "[e,e]" not in r.detail
+
+
 # antichain(6) lists every subset of its diagonal pairs; each case drops
 # the result of combining two masks that stay listed
 @pytest.mark.parametrize(

@@ -107,6 +107,18 @@ def test_export_pairs_and_lattice(capsys, chain3_file):
     assert code == 0 and out.count('"{') >= 14
 
 
+@pytest.mark.parametrize("what", ["pairs", "ideal-lattice"])
+def test_export_of_the_ideal_calculus_refuses_the_irreflexive_convention(
+    capsys, chain3_file, what
+):
+    # the pair poset is built from the diagonal pairs, which the
+    # irreflexive algebra does not have
+    argv = ["export", what, "--input", chain3_file, "--convention", "irreflexive"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: ideal calculus needs the reflexive convention (diagonal pairs)\n"
+
+
 def test_recover_roundtrip_via_files(capsys, chain3_file, tmp_path):
     table_path = tmp_path / "t.json"
     run(capsys, "export", "table", "--input", chain3_file, "--out", str(table_path))
