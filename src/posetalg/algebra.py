@@ -30,7 +30,7 @@ from .errors import (
     NotMonomial,
     ParseError,
 )
-from .poset import Pair, all_pairs
+from .poset import all_pairs
 from .rng import LCG
 
 RESCALE_FACTORS = (
@@ -57,7 +57,7 @@ class IncidenceAlgebra:
     """
 
     __slots__ = ("poset", "convention", "generators", "index", "by_first",
-                 "by_second", "_pair_poset", "_table")
+                 "_pair_poset", "_table")
 
     def __init__(self, poset, convention="reflexive"):
         if convention not in ("reflexive", "irreflexive"):
@@ -66,19 +66,15 @@ class IncidenceAlgebra:
         if convention == "irreflexive":
             pairs = [p for p in pairs if p.x != p.y]
         # by_first[u] lists (j, v) for each generator j = [u,v], in generator
-        # order: the generators that [x,u] composes with on the right;
-        # by_second[v] lists (j, u), those that [v,y] composes with on the left
+        # order: the generators that [x,u] composes with on the right
         by_first = [[] for _ in range(poset.n)]
-        by_second = [[] for _ in range(poset.n)]
         for j, (u, v) in enumerate(pairs):
             by_first[u].append((j, v))
-            by_second[v].append((j, u))
         self.poset = poset
         self.convention = convention
         self.generators = tuple(pairs)
         self.index = {p: i for i, p in enumerate(pairs)}
         self.by_first = by_first
-        self.by_second = by_second
         self._pair_poset = None
         self._table = None
 
@@ -206,7 +202,7 @@ class IncidenceAlgebra:
             for i, (x, y) in enumerate(self.generators):
                 # x <= y <= v gives x <= v, strict when y < v
                 for j, v in self.by_first[y]:
-                    entries[(i, j)] = (one, index[Pair(x, v)])
+                    entries[(i, j)] = (one, index[x, v])
             table = MultiplicationTable._checked(self.dim, entries)
             self._table = weakref.ref(table)
         return table
@@ -427,15 +423,13 @@ class MultiplicationTable:
                 if ends[i] is not None or hit != (c, i):
                     raise NoPosetBehindTable(_misplaced(i, ends[i], q))
                 ends[i] = q
-        at = dict(zip(zip(starts, ends), count()))  # the last index at each pair
-        if None in starts or None in ends or len(at) < dim:
-            at = {}
-            for k, xy in enumerate(zip(starts, ends)):
-                if None in xy:
-                    raise NoPosetBehindTable("index %d not placed" % k)
-                if at.setdefault(xy, k) != k:
-                    why = "indices %d and %d both placed at %r" % (at[xy], k, xy)
-                    raise NoPosetBehindTable(why)
+        at = {}
+        for k, xy in enumerate(zip(starts, ends)):
+            if None in xy:
+                raise NoPosetBehindTable("index %d not placed" % k)
+            if at.setdefault(xy, k) != k:
+                why = "indices %d and %d both placed at %r" % (at[xy], k, xy)
+                raise NoPosetBehindTable(why)
         for (x, y), k in at.items():
             if x != y and (y, x) in at:  # x and y equivalent: a preorder
                 why = "indices %d and %d placed at %r and %r"

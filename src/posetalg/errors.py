@@ -27,7 +27,6 @@ class ParseError(PosetAlgebraError):
         if line is not None:
             message = "line %d: %s" % (line, message)
         super().__init__(message)
-        self.line = line
 
 
 class SizeLimitExceeded(PosetAlgebraError):

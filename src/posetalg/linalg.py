@@ -10,6 +10,7 @@ tested against live in oracles.py (brute_rank, subspace_closure).
 from fractions import Fraction
 
 from .algebra import AlgebraElement
+from .poset import iterbits
 
 
 class Subspace:
@@ -113,7 +114,8 @@ def ideal_closure(A, elems):
         added = S._insert(f.coeffs)
         if added is not None:
             queue.append(added)
-    gens, index, by_first, by_second = A.generators, A.index, A.by_first, A.by_second
+    gens, index, by_first, down = A.generators, A.index, A.by_first, A.poset.down
+    diagonal = A.convention == "reflexive"  # [x,x] is a generator
     while queue:
         row = queue.pop()
         starting, ending = {}, {}  # x -> (y, c) and y -> (x, c) of c [x,y]
@@ -124,7 +126,7 @@ def ideal_closure(A, elems):
         products = [
             {index[u, y]: c for y, c in terms}
             for x, terms in starting.items()
-            for _, u in by_second[x]
+            for u in iterbits(down[x] | diagonal << x)
         ]
         products += [
             {index[x, v]: c for x, c in terms}

@@ -242,11 +242,11 @@ def nilpotency_index(A):
     """Smallest k with every k-fold generator product zero; None if unital."""
     if A.convention == "reflexive" and A.poset.n > 0:
         return None
-    right = A.multiplication_table().right
+    entries = A.multiplication_table().entries
     live = set(range(A.dim))
     k = 1
     while live:
-        live = {t for i in live for _, t in right.get(i, {}).values()}
+        live = {t for (i, _), (_, t) in entries.items() if i in live}
         k += 1
     return k
 

@@ -43,19 +43,13 @@ door, runs both.
 """
 
 from .algebra import IncidenceAlgebra, scramble_draws
-from .poset import Pair, Poset, iterbits, transitive_closure
+from .poset import Poset, iterbits, transitive_closure
 
 
 def quasi_idempotents(table):
     """Indices i with b_i^2 = c * b_i, c != 0.  Validates associativity."""
     table.ensure_associative()
     return sorted(table.square)
-
-
-def _placed_quasi_idempotents(table):
-    """quasi_idempotents(table) and table.placement(), which refuses a table
-    that no poset is behind."""
-    return quasi_idempotents(table), table.placement()
 
 
 def _labels_for(indices):
@@ -70,7 +64,7 @@ def recover_by_ideal_products(table):
     and b_k e_q = c_q b_k for each k placed at (., q), c_q the coefficient
     of e_q's square, so the sum of the e_q / c_q is a unit.  And
     e_x b_k e_y != 0 iff index k is placed at (x, y)."""
-    qs, (starts, ends) = _placed_quasi_idempotents(table)
+    qs, (starts, ends) = quasi_idempotents(table), table.placement()
     pos = {q: x for x, q in enumerate(qs)}
     rows = [0] * len(qs)
     for q, r in zip(starts, ends):
@@ -80,7 +74,7 @@ def recover_by_ideal_products(table):
 
 
 def _link_rows(table):
-    qs, (starts, ends) = _placed_quasi_idempotents(table)
+    qs, (starts, ends) = quasi_idempotents(table), table.placement()
     pos = {q: x for x, q in enumerate(qs)}
     links = [0] * len(qs)
     for k, products in table.landing.items():
@@ -126,12 +120,12 @@ def verify_roundtrip(P, seeds):
     generators; the *_exact flags record that per route."""
     A = IncidenceAlgebra(P, "reflexive")
     table = A.multiplication_table()
-    diagonal = [A.index[Pair(x, x)] for x in range(P.n)]
     results = []
     for seed in seeds:
         perm, scales = scramble_draws(table.dim, seed)
         puzzle = table.permuted_rescaled(perm, scales)
-        want = _renamed(P, [perm[d] for d in diagonal])
+        # the canonical pair order puts [x,x] at index x
+        want = _renamed(P, perm[: P.n])
         via_products, via_links = recover_table(puzzle)
         exact_a = via_products == want
         exact_b = via_links == want

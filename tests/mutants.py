@@ -96,13 +96,6 @@ MUTANTS = [
         [ORACLES],
     ),
     Mutant(
-        "place_unplaced_or_shared",
-        "algebra.py",
-        "if None in starts or None in ends or len(at) < dim:",
-        "if False:",
-        [ORACLES],
-    ),
-    Mutant(
         "place_unplaced",
         "algebra.py",
         "if None in xy:",
@@ -174,9 +167,14 @@ MUTANTS = [
         "root[a] = a",
         [ORACLES],
     ),
-    # _solve_scales: propagation, its early stop and the learned exponents.
-    # Dropping propagation through left[a] survives every test: the stall
-    # path pins what it would learn, so only the stall count shows it
+    # _solve_scales: propagation, its early stop and the learned exponents
+    Mutant(
+        "scales_propagate_left",
+        "algebra.py",
+        "for i, (c, k) in left[a].items():",
+        "for i, (c, k) in ():",
+        [ORACLES],
+    ),
     Mutant(
         "scales_propagate_landing",
         "algebra.py",
@@ -241,6 +239,15 @@ MUTANTS = [
         "nums[j] * dens[k]",
         "nums[j]",
         [ALGEBRA],
+    ),
+    # linalg.ideal_closure: [x,x] multiplies on the left only when it is a
+    # generator
+    Mutant(
+        "closure_diagonal_convention",
+        "linalg.py",
+        'diagonal = A.convention == "reflexive"',
+        "diagonal = True",
+        ["tests/test_linalg.py"],
     ),
     # checks: the span leg of product_lemma, maximality's second leg
     Mutant(

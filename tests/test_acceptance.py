@@ -29,12 +29,11 @@ from posetalg import (
     principal_ideal,
     recover_by_links,
     recovered_links,
-    subspace_closure,
     verify_roundtrip,
     zero_ideal,
 )
 from posetalg.checks import random_element_lists
-from posetalg.oracles import brute_antichain_count, nilpotency_index
+from posetalg.oracles import brute_antichain_count, nilpotency_index, subspace_closure
 from posetalg.rng import LCG
 
 

@@ -9,7 +9,7 @@ from posetalg import (
     boolean_lattice,
     chain,
     diamond,
-    enumerate_ideals,
+    enumerate_up_sets,
     ideal_product,
     indecomposable_ideals,
     maximal_ideals,
@@ -110,10 +110,10 @@ def test_intersection_check_catches_a_missing_meet(
     P = antichain(6)
     A = IncidenceAlgebra(P, "reflexive")
     assert check(P, A, 12).passed
-    listed = list(checks.enumerate_ideals(A, cap=12))
-    assert set(kept) <= {I.up_mask for I in listed}
-    remaining = [I for I in listed if I.up_mask != dropped]
-    monkeypatch.setattr(checks, "enumerate_ideals", lambda A, cap: iter(remaining))
+    listed = list(enumerate_up_sets(A.pair_poset(), cap=12))
+    assert set(kept) <= set(listed)
+    remaining = [m for m in listed if m != dropped]
+    monkeypatch.setattr(checks, "enumerate_up_sets", lambda G, cap: iter(remaining))
     r = check(P, A, 12)
     assert not r.passed
     # the witness is two listed masks that combine to the dropped one
@@ -131,7 +131,7 @@ def test_closure_check_is_never_looser_than_the_pairwise_oracle(
 ):
     # every ideal list within the cap, whole and with each mask dropped
     family = []
-    monkeypatch.setattr(checks, "enumerate_ideals", lambda A, cap: iter(family))
+    monkeypatch.setattr(checks, "enumerate_up_sets", lambda G, cap: iter(family))
     stricter = 0
     for P in exhaustive4 + random7:
         A = IncidenceAlgebra(P, "reflexive")
@@ -143,14 +143,13 @@ def test_closure_check_is_never_looser_than_the_pairwise_oracle(
             G.principal_up(i) if op is or_ else full & ~((1 << i) | G.narrower[i])
             for i in range(G.size)
         }
-        listed = list(enumerate_ideals(A, cap=12))
-        for dropped in [None] + [I.up_mask for I in listed]:
-            family[:] = [I for I in listed if I.up_mask != dropped]
-            masks = [I.up_mask for I in family]
+        listed = list(enumerate_up_sets(G, cap=12))
+        for dropped in [None] + listed:
+            family[:] = [m for m in listed if m != dropped]
             r = check(P, A, 12)
             # the verdict is the same in any order; this one, small masks
             # first for | and large first for &, meets a witness sooner
-            if brute_closure_witness(sorted(masks, reverse=op is and_), op):
+            if brute_closure_witness(sorted(family, reverse=op is and_), op):
                 assert not r.passed, (P, dropped)
             elif not r.passed:
                 # stricter only where a basis mask is missing
@@ -158,7 +157,7 @@ def test_closure_check_is_never_looser_than_the_pairwise_oracle(
                 stricter += 1
             if not r.passed:
                 m1, m2 = map(int, r.detail.rsplit(" ", 1)[1].split(","))
-                assert m1 in masks and m2 in basis and op(m1, m2) == dropped
+                assert m1 in family and m2 in basis and op(m1, m2) == dropped
     assert stricter > 0
 
 

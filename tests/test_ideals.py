@@ -32,9 +32,9 @@ from posetalg import (
     maximal_indecomposable_ideals,
     principal_ideal,
     span_of,
-    subspace_closure,
     zero_ideal,
 )
+from posetalg.oracles import subspace_closure
 from _strategies import posets
 
 

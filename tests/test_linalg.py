@@ -14,10 +14,9 @@ from posetalg import (
     ideal_closure,
     ideal_generated_by,
     span_of,
-    subspace_closure,
 )
 from posetalg.checks import random_element_lists
-from posetalg.oracles import brute_rank
+from posetalg.oracles import brute_rank, subspace_closure
 from posetalg.rng import LCG
 from _strategies import elements_of, posets
 
@@ -95,11 +94,12 @@ def test_reduce_is_empty_exactly_when_the_rank_stays():
 # ideal closure against the literal closure
 
 
-def _assert_closures_agree(corpus, seed0):
+def _assert_closures_agree(corpus, seed0, convention="reflexive"):
     for k, P in enumerate(corpus):
-        A = A_of(P)
+        A = IncidenceAlgebra(P, convention)
         for elems in random_element_lists(A, LCG(seed0 + k), 3):
-            assert ideal_closure(A, elems).rows == subspace_closure(A, elems).rows, P
+            S = ideal_closure(A, elems)
+            assert S.rows == subspace_closure(A, elems).rows, (P, convention)
 
 
 def test_ideal_closure_matches_the_oracle_on_exhaustive4(exhaustive4):
@@ -108,6 +108,14 @@ def test_ideal_closure_matches_the_oracle_on_exhaustive4(exhaustive4):
 
 def test_ideal_closure_matches_the_oracle_on_random7(random7):
     _assert_closures_agree(random7, 5000)
+
+
+def test_ideal_closure_matches_the_oracle_under_both_conventions(exhaustive4):
+    # with no [x,x] to multiply by, the left products of a term [x,y] start
+    # strictly below x
+    chains = [chain(k) for k in range(2, 7)]
+    _assert_closures_agree(chains, 9000)
+    _assert_closures_agree(exhaustive4 + chains, 9100, "irreflexive")
 
 
 @settings(max_examples=60, deadline=None)
