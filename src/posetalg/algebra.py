@@ -284,10 +284,13 @@ class MultiplicationTable:
     right[i][j] = left[j][i] = (coeff, k) holds the same present products,
     landing[k] lists the keys (i, j) of those on b_k in entry order, and
     square[q] = c for each quasi-idempotent b_q b_q = c b_q; each is keyed
-    only by indices that occur, so its size never follows dim.  Callers
+    only by indices that occur, so its size never follows dim.  All four
+    are built together on the first read of any of them, so a table that
+    is only compared, hashed, scrambled or written builds none.  Callers
     must not mutate them.
     The constructor checks dim, then copies and checks the entries;
-    from_json_text and multiplication_table, valid as made, skip both.
+    from_json_text, multiplication_table and permuted_rescaled, valid as
+    made, skip both.
 
     Associativity is settled once per table: first by certified(), which
     proves a rescaled incidence table associative in O(entries) with scales
@@ -312,21 +315,27 @@ class MultiplicationTable:
                 raise ValueError("table entry (%d,%d)->%d out of range" % (i, j, k))
             if not c:
                 raise ValueError("table entry (%d,%d) has zero coefficient" % (i, j))
-        self._index(dim, entries)
+        self._store(dim, entries)
 
     @classmethod
     def _checked(cls, dim, entries):
         table = cls.__new__(cls)  # of entries valid as made, not copied
-        table._index(dim, entries)
+        table._store(dim, entries)
         return table
 
-    def _index(self, dim, entries):
+    def _store(self, dim, entries):
         self.dim = dim
         self.entries = entries
+        self._witness = _UNCHECKED
+        self._placed = None
+
+    def __getattr__(self, name):  # runs only while the index slots are unset
+        if name not in ("right", "left", "landing", "square"):
+            raise AttributeError("MultiplicationTable has no attribute %r" % name)
         self.right = right = {}
         self.left = left = {}
         self.landing = landing = {}
-        for key, hit in entries.items():
+        for key, hit in self.entries.items():
             i, j = key
             right.setdefault(i, {})[j] = hit
             left.setdefault(j, {})[i] = hit
@@ -334,8 +343,7 @@ class MultiplicationTable:
         self.square = {
             q: hit[0] for q, row in right.items() if (hit := row.get(q)) and hit[1] == q
         }
-        self._witness = _UNCHECKED
-        self._placed = None
+        return getattr(self, name)
 
     def __eq__(self, other):
         return (
@@ -502,7 +510,7 @@ class MultiplicationTable:
             if value is None:
                 value = made[pair] = Fraction(*pair)
             entries[(perm[i], perm[j])] = (value, perm[k])
-        return MultiplicationTable(self.dim, entries)
+        return MultiplicationTable._checked(self.dim, entries)
 
     def to_json_text(self):
         rows = [

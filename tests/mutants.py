@@ -232,7 +232,43 @@ MUTANTS = [
         "+ sign * f * power",
         [ORACLES],
     ),
-    # permuted_rescaled: the unreduced pair c s_i s_j / s_k
+    # permuted_rescaled: its guards, the only check on a table it builds
+    # unchecked, and the unreduced pair c s_i s_j / s_k
+    Mutant(
+        "perm_int",
+        "algebra.py",
+        "if type(p) is not int:",
+        "if False:",
+        [ALGEBRA],
+    ),
+    Mutant(
+        "perm_permutation",
+        "algebra.py",
+        "if sorted(perm) != list(range(self.dim)):",
+        "if False:",
+        [ALGEBRA],
+    ),
+    Mutant(
+        "scales_length",
+        "algebra.py",
+        "len(scales) != self.dim or ",
+        "",
+        [ALGEBRA],
+    ),
+    Mutant(
+        "scales_nonzero",
+        "algebra.py",
+        " or any(not s for s in scales)",
+        "",
+        [ALGEBRA],
+    ),
+    Mutant(
+        "scales_type",
+        "algebra.py",
+        "if type(s) not in (int, Fraction):",
+        "if False:",
+        [ALGEBRA],
+    ),
     Mutant(
         "rescale_den_k",
         "algebra.py",

@@ -411,6 +411,36 @@ def test_product_index_lists_present_products_both_ways():
     assert T.landing == {0: [(0, 0)], 1: [(1, 1)], 2: [(0, 2), (2, 1)]}
 
 
+def test_product_index_is_built_on_first_read():
+    index = ("right", "left", "landing", "square")
+
+    def unset(T):
+        # a slot descriptor raises on an unset slot without falling back to
+        # __getattr__, which would build the index
+        names = []
+        for name in index:
+            try:
+                getattr(MultiplicationTable, name).__get__(T)
+            except AttributeError:
+                names.append(name)
+        return names
+
+    T = A_of(diamond()).multiplication_table()
+    puzzle = T.permuted_rescaled(*scramble_draws(T.dim, 1))
+    twin = scramble(T, 1)
+    assert puzzle == twin != T
+    assert hash(puzzle) == hash(twin)
+    for table in (T, puzzle, twin):
+        table.to_json_text()
+        assert unset(table) == list(index)
+    for name in index:
+        fresh = MultiplicationTable.from_json_text(T.to_json_text())
+        getattr(fresh, name)
+        assert unset(fresh) == []
+    with pytest.raises(AttributeError, match="no attribute 'rigth'"):
+        T.rigth
+
+
 # ---------------------------------------------------------------------------
 # scrambling
 
@@ -436,6 +466,12 @@ def test_permuted_rescaled_validation():
         assert str(err.value) == message
     with pytest.raises(ValueError):
         T.permuted_rescaled([0, 1, 2], [Fraction(0)] * 3)
+    # one scale per basis element: a long list is not silently cut, and a
+    # short one is refused by length, not by an IndexError
+    for scales in ([1, 1], [1, 1, 1, 5]):
+        with pytest.raises(ValueError) as err:
+            T.permuted_rescaled([0, 1, 2], scales)
+        assert str(err.value) == "need one nonzero scale per basis element"
     # nonzero float scales, whose product would underflow to a zero
     # coefficient, are refused by type before any arithmetic
     with pytest.raises(ValueError):
