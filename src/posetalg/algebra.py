@@ -15,7 +15,6 @@ module solves.
 import json
 import re
 import weakref
-from collections import Counter
 from fractions import Fraction
 from itertools import count
 from math import gcd
@@ -442,8 +441,9 @@ class MultiplicationTable:
             if x != y and (y, x) in at:  # x and y equivalent: a preorder
                 why = "indices %d and %d placed at %r and %r"
                 raise NoPosetBehindTable(why % (k, at[y, x], (x, y), (y, x)))
-        leaving, n = Counter(starts), len(self.entries)
-        pairs = sum(m * leaving[q] for q, m in Counter(ends).items())
+        # right[q] holds the indices placed at (q, .), left[q] those at (., q)
+        n = len(self.entries)
+        pairs = sum(len(right[q]) * len(left[q]) for q in self.square)
         if pairs != n:
             why = "%d entries but %d composable placed pairs" % (n, pairs)
             raise NoPosetBehindTable(why)

@@ -82,10 +82,21 @@ class Poset:
                 if up[y] & ~up[x]:
                     raise ValueError("relation is not transitively closed")
                 down[y] |= bit
-        self.n = n
+        self._store(labels, up, tuple(down))
+
+    @classmethod
+    def _checked(cls, labels, up, down):
+        # of rows a strict order as made, down the transpose of up, on
+        # distinct valid labels: nothing is checked or closed again
+        P = cls.__new__(cls)
+        P._store(tuple(labels), tuple(up), tuple(down))
+        return P
+
+    def _store(self, labels, up, down):
+        self.n = len(labels)
         self.labels = labels
         self.up = up
-        self.down = tuple(down)
+        self.down = down
         self._index = {lab: i for i, lab in enumerate(labels)}
 
     def strict(self, x, y):

@@ -30,20 +30,32 @@ in tests/test_table_oracles.py.
       strictly between x and y.  Links are read in one pass: the products
       landing on k are e_x b_k, b_k e_y and one more for each element
       strictly between x and y, so k is missed exactly when two land on it.
-      Links are exactly the covers; their transitive closure is the strict
-      order.  The literal definition is brute_recover_by_links in oracles.py.
+      Links are exactly the covers, and the strict order is their closure,
+      taken along a linear extension read off the table: len(left[q])
+      counts the indices placed at (., q), which is 1 + |down(q)|, so
+      x < y gives x the smaller key.  Rows above are filled in decreasing
+      key order and rows below in increasing order, one OR per link, so
+      the closure costs a sort of n keys and one OR per link in each
+      direction, not Warshall's n^2 row tests.  The literal definition is
+      brute_recover_by_links in oracles.py.
 
 Both refuse what the table's checks refuse, NotAssociative first and then
-NoPosetBehindTable, and nothing else.  An associative table that placement()
-places has exactly the supports of an incidence algebra: one product on each
-composable placed pair, landing on the composed pair.  So neither route can
-meet a relation that is not a partial order, and neither checks for one
-(the literal routes in oracles.py still do).  recover_table, the front
-door, runs both.
+NoPosetBehindTable, and nothing else.  Neither checks the order it builds,
+as placement() and associativity prove it a strict order.  On an associative
+placed table every entry b_i b_j sits at a composable placed pair (e_q b_j
+vanishes unless q is b_j's start, so b_i b_j = b_i e_(end i) b_j / c
+vanishes unless end i = start j), and the pair count makes the two sets
+equal.  So k at (x, y) and k' at (y, z) give a product, which lands on the
+one index placed at (x, z): the placed pairs compose transitively.  The
+placement refuses (x, y) beside (y, x), so x != z, and the placed pairs
+off the diagonal are a strict order; with one index at each (x, x) and
+the count above, the links are its covers.  Both routes hand their rows
+to Poset._checked (the literal routes in oracles.py still validate).
+recover_table, the front door, runs both.
 """
 
 from .algebra import IncidenceAlgebra, scramble_draws
-from .poset import Poset, iterbits, transitive_closure
+from .poset import Poset, iterbits
 
 
 def quasi_idempotents(table):
@@ -66,11 +78,14 @@ def recover_by_ideal_products(table):
     e_x b_k e_y != 0 iff index k is placed at (x, y)."""
     qs, (starts, ends) = quasi_idempotents(table), table.placement()
     pos = {q: x for x, q in enumerate(qs)}
-    rows = [0] * len(qs)
+    up = [0] * len(qs)
+    down = [0] * len(qs)
     for q, r in zip(starts, ends):
         if q != r:
-            rows[pos[q]] |= 1 << pos[r]
-    return Poset(_labels_for(qs), rows)
+            x, y = pos[q], pos[r]
+            up[x] |= 1 << y
+            down[y] |= 1 << x
+    return Poset._checked(_labels_for(qs), up, down)
 
 
 def _link_rows(table):
@@ -85,11 +100,26 @@ def _link_rows(table):
 
 
 def recover_by_links(table):
-    """Poset on the quasi-idempotents: transitive closure of detected links."""
+    """Poset on the quasi-idempotents: the closure of the detected links,
+    taken along a linear extension (see the module docstring)."""
     qs, links = _link_rows(table)
-    labels = _labels_for(qs)
-    rows = transitive_closure(len(qs), links, labels)
-    return Poset(labels, rows)
+    n, left = len(qs), table.left
+    # 1 + |down(q)| indices are placed at (., q): smaller below
+    order = sorted(range(n), key=[len(left[q]) for q in qs].__getitem__)
+    up = [0] * n
+    down = [0] * n
+    for x in order:  # every link into x comes from an element already done
+        if links[x]:
+            below = down[x] | 1 << x
+            for y in iterbits(links[x]):
+                down[y] |= below
+    for x in reversed(order):  # every link out of x goes to one already done
+        if links[x]:
+            above = 0
+            for y in iterbits(links[x]):
+                above |= up[y] | 1 << y
+            up[x] = above
+    return Poset._checked(_labels_for(qs), up, down)
 
 
 def recovered_links(table):
@@ -109,8 +139,12 @@ def _renamed(P, image):
     labelled e<image[x]> and listed in increasing image order."""
     order = sorted(range(P.n), key=image.__getitem__)
     pos = {x: t for t, x in enumerate(order)}
-    rows = [sum(1 << pos[y] for y in iterbits(P.up[x])) for x in order]
-    return Poset(_labels_for([image[x] for x in order]), rows)
+
+    def moved(rows):
+        return [sum(1 << pos[y] for y in iterbits(rows[x])) for x in order]
+
+    labels = _labels_for([image[x] for x in order])
+    return Poset._checked(labels, moved(P.up), moved(P.down))
 
 
 def verify_roundtrip(P, seeds):

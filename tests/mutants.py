@@ -338,6 +338,21 @@ MUTANTS = [
         "if len(products) >= 2:",
         [RECOVERY, ORACLES],
     ),
+    # recovery: the rows the routes build unchecked
+    Mutant(
+        "link_route_extension_order",
+        "recovery.py",
+        "order = sorted(range(n), key=[len(left[q]) for q in qs].__getitem__)",
+        "order = range(n)",
+        [RECOVERY, ORACLES],
+    ),
+    Mutant(
+        "ideal_route_down_rows",
+        "recovery.py",
+        "            up[x] |= 1 << y\n            down[y] |= 1 << x\n",
+        "            up[x] |= 1 << y\n",
+        [RECOVERY, ORACLES],
+    ),
 ]
 
 

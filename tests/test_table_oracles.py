@@ -13,7 +13,9 @@ from posetalg import (
     IncidenceAlgebra,
     MultiplicationTable,
     NoPosetBehindTable,
+    Poset,
     PosetAlgebraError,
+    antichain,
     boolean_lattice,
     chain,
     poset_from_relations,
@@ -21,8 +23,10 @@ from posetalg import (
     random_poset,
     recover_by_ideal_products,
     recover_by_links,
+    recover_table,
     recovered_links,
     scramble,
+    verify_roundtrip,
 )
 from posetalg.algebra import _solve_scales
 from posetalg.oracles import (
@@ -403,20 +407,67 @@ def test_projective_plane_scrambles_are_certified_where_propagation_reaches():
         assert scramble(T, seed).certified(), seed
 
 
-def test_twisted_sphere_table_is_not_certified_but_associative():
-    # negating [a1,b1][b1,c1] leaves the table associative, but the
-    # product of the signs of its eight triangles is -1, which no
-    # rescaling of an incidence table gives
+def twisted_sphere_table():
+    """sphere()'s table with the product [a1,b1][b1,c1] negated."""
     A = IncidenceAlgebra(sphere(), "reflexive")
     entries = dict(A.multiplication_table().entries)
     a1, b1, c1 = (sphere().index(lab) for lab in ("a1", "b1", "c1"))
     key = (A.index[(a1, b1)], A.index[(b1, c1)])
     c, k = entries[key]
     entries[key] = (-c, k)
+    return MultiplicationTable(A.dim, entries)
+
+
+def test_twisted_sphere_table_is_not_certified_but_associative():
+    # negating [a1,b1][b1,c1] leaves the table associative, but the
+    # product of the signs of its eight triangles is -1, which no
+    # rescaling of an incidence table gives
     for seed in (1, 2, 3):
-        T = scramble(MultiplicationTable(A.dim, entries), seed)
+        T = scramble(twisted_sphere_table(), seed)
         assert not T.certified()
         assert T.associativity_witness() is None
+
+
+# ---------------------------------------------------------------------------
+# the routes build their posets unchecked, at sizes the corpora never reach
+
+
+def assert_valid_as_made(P):
+    # the validating constructor accepts the rows and finds the same down rows
+    checked = Poset(P.labels, P.up)
+    assert checked == P
+    assert checked.down == P.down
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        chain(30),
+        boolean_lattice(5),
+        antichain(64),
+        random_poset(80, 0.03, 1),
+        random_poset(40, 0.1, 3),
+    ],
+    ids=["chain30", "boolean5", "antichain64", "random80", "random40"],
+)
+def test_routes_build_strict_orders_at_size(P):
+    T = IncidenceAlgebra(P, "reflexive").multiplication_table()
+    for seed in (1, 2, 3):
+        for Q in recover_table(scramble(T, seed)):
+            assert_valid_as_made(Q)
+    assert all(r["passed"] for r in verify_roundtrip(P, seeds=(1, 2, 3)))
+
+
+def test_routes_build_strict_orders_on_the_twisted_sphere():
+    # associative by the triple scan alone, and placed: the routes read
+    # the placement as they do on a certified table
+    for seed in (1, 2, 3):
+        T = scramble(twisted_sphere_table(), seed)
+        via_products, via_links = recover_table(T)
+        assert via_products == via_links
+        assert via_products.n + via_products.strict_pair_count() == T.dim
+        assert_valid_as_made(via_products)
+        assert_valid_as_made(via_links)
 
 
 # ---------------------------------------------------------------------------
