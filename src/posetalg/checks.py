@@ -239,22 +239,20 @@ def check_product_in_intersection(P, A):
 
 
 def check_bijections(P, A):
+    """Comparable pairs <-> indecomposable ideals: the principal ideals are
+    pairwise distinct, and each has exactly one minimal pair.
+
+    The counts are not tested: ideals.py builds one indecomposable ideal
+    per pair and one maximal (indecomposable) ideal per element, so they
+    hold by construction.  Testing the element <-> maximal indecomposable
+    bijection from the paper's definitions is open work (ROADMAP.md)."""
     G = A.pair_poset()
     indec = indecomposable_ideals(A)
-    if len(indec) != G.size:
-        return _fail("bijections", "%r indecomposable count %d" % (P, len(indec)))
     if len(set(I.up_mask for I in indec)) != G.size:
         return _fail("bijections", "%r principal ideals collide" % (P,))
     for I in indec:
         if not is_indecomposable(I):
             return _fail("bijections", "%r principal not indecomposable %r" % (P, I))
-    maxind = maximal_indecomposable_ideals(A)
-    if len(maxind) != P.n:
-        return _fail("bijections", "%r maximal indecomposable count" % (P,))
-    if len(maximal_ideals(A)) != P.n:
-        return _fail("bijections", "%r maximal ideal count" % (P,))
-    if is_indecomposable(zero_ideal(A)):
-        return _fail("bijections", "%r zero ideal counted indecomposable" % (P,))
     return _ok("bijections")
 
 
@@ -277,26 +275,20 @@ def check_idempotence(P, A):
 
 
 def check_maximality(P, A, enum_cap):
-    """Each maximal ideal drops one diagonal pair, and every proper ideal
-    lies inside one of them.
+    """Every proper ideal lies inside one of the maximal ideals.
 
     A proper ideal lies in no maximal ideal exactly when it holds every
-    pair the maximal ideals drop, so the second leg holds exactly when the
-    ideal those pairs generate (the OR of their principal up-sets) is every
-    pair.  That is tested at every size with no ideal listed, and fails
-    naming that ideal.  enum_cap is not read; it stays so that the checks
-    with a cap keep one signature, as run_poset_checks and
-    benchmark/workloads.py call them."""
+    pair the maximal ideals drop, so the check holds exactly when the ideal
+    those pairs generate (the OR of their principal up-sets) is every pair.
+    That is tested at every size with no ideal listed, and fails naming
+    that ideal.  That each maximal ideal drops one diagonal pair is not
+    tested: maximal_ideals builds them so, one per element.  enum_cap is
+    not read; it stays so that the checks with a cap keep one signature, as
+    run_poset_checks and benchmark/workloads.py call them."""
     full = (1 << A.dim) - 1
     dropped = 0
     for M in maximal_ideals(A):
-        missing = full & ~M.up_mask
-        if missing.bit_count() != 1:
-            return _fail("maximality", "%r complement not a single pair" % (P,))
-        i = missing.bit_length() - 1
-        if A.generators[i].x != A.generators[i].y:
-            return _fail("maximality", "%r missing pair not diagonal" % (P,))
-        dropped |= missing
+        dropped |= full & ~M.up_mask
     I = ideal_generated_by(A, [A.element({i: 1 for i in iterbits(dropped)})])
     if I.up_mask != full:
         return _fail("maximality", "%r ideal %r in no maximal ideal" % (P, I))

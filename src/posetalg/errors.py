@@ -34,9 +34,7 @@ class SizeLimitExceeded(PosetAlgebraError):
 
 
 class CapExceeded(PosetAlgebraError):
-    def __init__(self, message, required=None):
-        super().__init__(message)
-        self.required = required
+    pass
 
 
 class AlgebraMismatch(PosetAlgebraError):

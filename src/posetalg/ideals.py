@@ -162,9 +162,8 @@ def ideal_product(I, J):
 
 
 def is_indecomposable(I):
-    """Nonzero with a unique minimal pair, i.e. a principal up-set."""
-    if I.is_zero:
-        return False
+    """Nonzero with a unique minimal pair, i.e. a principal up-set; the
+    zero ideal has no minimal pair."""
     return len(I.algebra.pair_poset().minimal_of(I.up_mask)) == 1
 
 

@@ -347,9 +347,7 @@ def _antichain_count(above, below):
 def enumerate_up_sets(G, cap=20):
     """All upward-closed subsets of a PairPoset, as bitmasks (generator)."""
     if G.size > cap:
-        raise CapExceeded(
-            "pair poset has %d elements, cap is %d" % (G.size, cap), required=G.size
-        )
+        raise CapExceeded("pair poset has %d elements, cap is %d" % (G.size, cap))
     return _up_closed_masks(G.size, G.wider, G.narrower)
 
 

@@ -285,7 +285,150 @@ MUTANTS = [
         "diagonal = True",
         ["tests/test_linalg.py"],
     ),
-    # checks: the span leg of product_lemma, maximality's second leg
+    # checks: every `if ...: return _fail(...)` guard, turned off
+    # (tests/test_mutants.py holds the list to that), and the span leg's
+    # member test and roundtrip's refusal branch
+    Mutant(
+        "pair_minimals",
+        "checks.py",
+        "if minimal != list(range(P.n)):",
+        "if False:",
+        [CHECKS],
+    ),
+    Mutant(
+        "ideal_count",
+        "checks.py",
+        'if got != want:\n        return _fail("ideal_count"',
+        'if False:\n        return _fail("ideal_count"',
+        [CHECKS],
+    ),
+    Mutant(
+        "closure_listed",
+        "checks.py",
+        "if op(m1, m2) not in listed:\n                return _fail(name",
+        "if False:\n                return _fail(name",
+        [CHECKS],
+    ),
+    Mutant(
+        "product_lemma_closed_form",
+        "checks.py",
+        "if got != want:\n"
+        "                return _fail(\n"
+        '                    "product_lemma"',
+        "if False:\n"
+        "                return _fail(\n"
+        '                    "product_lemma"',
+        [CHECKS],
+    ),
+    Mutant(
+        "product_lemma_span",
+        "checks.py",
+        "if span != got.up_mask:",
+        "if False:",
+        [CHECKS],
+    ),
+    Mutant(
+        "product_in_intersection",
+        "checks.py",
+        "if prod.up_mask & ~(Pi.up_mask & Pj.up_mask):",
+        "if False:",
+        [CHECKS],
+    ),
+    Mutant(
+        "bijections_collide",
+        "checks.py",
+        "if len(set(I.up_mask for I in indec)) != G.size:",
+        "if False:",
+        [CHECKS],
+    ),
+    Mutant(
+        "bijections_indecomposable",
+        "checks.py",
+        "if not is_indecomposable(I):",
+        "if False:",
+        [CHECKS],
+    ),
+    Mutant(
+        "idempotence",
+        "checks.py",
+        "if not (nonzero == fixed == topmost):",
+        "if False:",
+        [CHECKS],
+    ),
+    Mutant(
+        "maximality_proper_ideal_leg",
+        "checks.py",
+        "if I.up_mask != full:",
+        "if False:",
+        [CHECKS],
+    ),
+    Mutant(
+        "diagonal_products",
+        "checks.py",
+        "if got != want:\n"
+        "                return _fail(\n"
+        '                    "diagonal_products"',
+        "if False:\n"
+        "                return _fail(\n"
+        '                    "diagonal_products"',
+        [CHECKS],
+    ),
+    Mutant(
+        "span_corollary_rank",
+        "checks.py",
+        "if S.dim != I.dimension():",
+        "if False:",
+        [CHECKS],
+    ),
+    Mutant(
+        "span_corollary_support",
+        "checks.py",
+        "if not I.up_mask >> i & 1:",
+        "if False:",
+        [CHECKS],
+    ),
+    Mutant(
+        "quasi_idempotents",
+        "checks.py",
+        "if qs != list(range(P.n)):",
+        "if False:",
+        [CHECKS],
+    ),
+    Mutant(
+        "links_are_covers_links",
+        "checks.py",
+        'if got != want:\n        return _fail("links_are_covers"',
+        'if False:\n        return _fail("links_are_covers"',
+        [CHECKS],
+    ),
+    Mutant(
+        "links_are_covers_closure",
+        "checks.py",
+        "if closed.up != P.up:",
+        "if False:",
+        [CHECKS],
+    ),
+    Mutant(
+        "unscrambled_recovery",
+        "checks.py",
+        "if via.up != P.up:",
+        "if False:",
+        [CHECKS],
+    ),
+    Mutant(
+        "scramble_identity",
+        "checks.py",
+        "if same != table:",
+        "if False:",
+        [CHECKS],
+    ),
+    Mutant(
+        "roundtrip_seed",
+        "checks.py",
+        'if not r["passed"]:',
+        "if False:",
+        [CHECKS],
+    ),
     Mutant(
         "product_lemma_span_members",
         "checks.py",
@@ -294,10 +437,10 @@ MUTANTS = [
         [CHECKS],
     ),
     Mutant(
-        "maximality_proper_ideal_leg",
+        "roundtrip_refusal",
         "checks.py",
-        "if I.up_mask != full:",
-        "if False:",
+        "except PosetAlgebraError as e:",
+        "except ArithmeticError as e:",
         [CHECKS],
     ),
     # poset._antichain_count: an antichain holding i holds nothing below it

@@ -4,16 +4,20 @@ from operator import and_, or_
 from posetalg import (
     IncidenceAlgebra,
     MultiplicationTable,
+    NoPosetBehindTable,
     Poset,
     antichain,
     boolean_lattice,
     chain,
     diamond,
     enumerate_up_sets,
+    full_ideal,
     ideal_product,
     indecomposable_ideals,
     maximal_ideals,
+    maximal_indecomposable_ideals,
     poset_from_relations,
+    principal_ideal,
     random_poset,
     scramble,
     span_of,
@@ -338,3 +342,195 @@ def test_product_lemma_span_leg_catches_a_wrong_table(monkeypatch):
     monkeypatch.setattr(IncidenceAlgebra, "multiplication_table", lambda self: broken)
     r = checks.check_product_lemma(P, A)
     assert not r.passed and "span oracle disagrees" in r.detail
+
+
+# Each FAIL guard of checks.py seen to fail: the check is handed a wrong
+# library (a monkeypatched name that checks reads) or an algebra or table
+# of another poset, and must fail with its own detail string.  Each guard
+# has a mutant in tests/mutants.py that these tests kill.
+
+
+def reflexive(P):
+    return IncidenceAlgebra(P, "reflexive")
+
+
+def test_pair_minimals_catches_a_foreign_algebra():
+    P = chain(2)
+    assert checks.check_pair_minimals(P, reflexive(P)).passed
+    r = checks.check_pair_minimals(P, reflexive(antichain(3)))
+    assert tuple(r) == (
+        "pair_minimals", False, "%r minimal pair indices [0, 1, 2]" % (P,), False
+    )
+
+
+def test_ideal_count_catches_a_missing_ideal(monkeypatch):
+    P = chain(2)
+    A = reflexive(P)
+    listed = list(enumerate_up_sets(A.pair_poset(), cap=12))
+    monkeypatch.setattr(checks, "enumerate_up_sets", lambda G, cap: iter(listed[1:]))
+    r = checks.check_ideal_count(P, A, 12)
+    assert tuple(r) == (
+        "ideal_count", False, "%r enumerated 4, antichains 5" % (P,), False
+    )
+
+
+def test_product_in_intersection_catches_a_product_too_large(monkeypatch):
+    P = chain(2)
+    A = reflexive(P)
+    assert checks.check_product_in_intersection(P, A).passed
+    monkeypatch.setattr(checks, "ideal_product", lambda I, J: full_ideal(A))
+    r = checks.check_product_in_intersection(P, A)
+    assert tuple(r) == (
+        "product_in_intersection", False, "%r pair indices 0,0" % (P,), False
+    )
+
+
+def test_bijections_catches_colliding_principal_ideals(monkeypatch):
+    P = chain(2)
+    A = reflexive(P)
+    assert checks.check_bijections(P, A).passed
+    monkeypatch.setattr(
+        checks, "indecomposable_ideals", lambda A: indecomposable_ideals(A)[:1] * 3
+    )
+    r = checks.check_bijections(P, A)
+    assert tuple(r) == (
+        "bijections", False, "%r principal ideals collide" % (P,), False
+    )
+
+
+@pytest.mark.parametrize("stray", [zero_ideal, full_ideal], ids=["zero", "full"])
+def test_bijections_catches_an_ideal_without_one_minimal_pair(monkeypatch, stray):
+    # on chain(2) the zero ideal has no minimal pair and the full ideal two,
+    # [a,a] and [b,b]; either one stands in for the principal ideal of [a,b]
+    P = chain(2)
+    A = reflexive(P)
+    doctored = indecomposable_ideals(A)[:2] + [stray(A)]
+    monkeypatch.setattr(checks, "indecomposable_ideals", lambda A: doctored)
+    r = checks.check_bijections(P, A)
+    assert tuple(r) == (
+        "bijections",
+        False,
+        "%r principal not indecomposable %r" % (P, stray(A)),
+        False,
+    )
+
+
+def test_idempotence_catches_a_missing_diagonal_ideal(monkeypatch):
+    # without I_b among the maximal indecomposables, I_b squares to itself
+    # but is not counted diagonal
+    P = chain(2)
+    A = reflexive(P)
+    assert checks.check_idempotence(P, A).passed
+    monkeypatch.setattr(
+        checks,
+        "maximal_indecomposable_ideals",
+        lambda A: maximal_indecomposable_ideals(A)[:1],
+    )
+    r = checks.check_idempotence(P, A)
+    I_b = principal_ideal(A, (1, 1))
+    assert tuple(r) == (
+        "idempotence",
+        False,
+        "%r ideal %r nonzero=True fixed=True diagonal=False" % (P, I_b),
+        False,
+    )
+
+
+def test_diagonal_products_catches_a_wrong_product(monkeypatch):
+    P = chain(2)
+    A = reflexive(P)
+    assert checks.check_diagonal_products(P, A).passed
+    monkeypatch.setattr(checks, "ideal_product", lambda I, J: zero_ideal(A))
+    r = checks.check_diagonal_products(P, A)
+    assert tuple(r) == ("diagonal_products", False, "%r elements a,a" % (P,), False)
+
+
+def table_of(P):
+    return reflexive(P).multiplication_table()
+
+
+def test_quasi_idempotents_catches_a_foreign_table():
+    P = chain(2)
+    assert checks.check_quasi_idempotents(P, table_of(P)).passed
+    r = checks.check_quasi_idempotents(P, table_of(antichain(3)))
+    assert tuple(r) == ("quasi_idempotents", False, "%r got [0, 1, 2]" % (P,), False)
+
+
+def test_links_are_covers_catches_a_foreign_table():
+    P = chain(3)
+    assert checks.check_links_are_covers(P, table_of(P)).passed
+    r = checks.check_links_are_covers(P, table_of(antichain(3)))
+    assert tuple(r) == (
+        "links_are_covers",
+        False,
+        "%r links %r covers %r" % (P, set(), {(0, 1), (1, 2)}),
+        False,
+    )
+
+
+def test_links_are_covers_catches_a_wrong_closure(monkeypatch):
+    # the links are right, the order closed from them is the dual
+    P = chain(3)
+    via_links = recovery.recover_by_links
+    monkeypatch.setattr(checks, "recover_by_links", lambda t: dual(via_links(t)))
+    r = checks.check_links_are_covers(P, table_of(P))
+    assert tuple(r) == (
+        "links_are_covers",
+        False,
+        "%r closure differs from strict order" % (P,),
+        False,
+    )
+
+
+def test_unscrambled_recovery_catches_a_foreign_table():
+    P = chain(2)
+    assert checks.check_unscrambled_recovery(P, table_of(P)).passed
+    r = checks.check_unscrambled_recovery(P, table_of(antichain(2)))
+    assert tuple(r) == (
+        "unscrambled_recovery", False, "%r ideal-product order differs" % (P,), False
+    )
+
+
+def test_scramble_identity_catches_a_stray_scale(monkeypatch):
+    # a permuted_rescaled that doubles b_0 whatever the scales say
+    P = chain(2)
+    table = table_of(P)
+    assert checks.check_scramble_identity(P, table).passed
+    rescaled = MultiplicationTable.permuted_rescaled
+    monkeypatch.setattr(
+        MultiplicationTable,
+        "permuted_rescaled",
+        lambda self, perm, scales: rescaled(self, perm, [2] + scales[1:]),
+    )
+    r = checks.check_scramble_identity(P, table)
+    assert tuple(r) == (
+        "scramble_identity",
+        False,
+        "%r identity scramble changed table" % (P,),
+        False,
+    )
+
+
+def test_roundtrip_catches_a_failed_seed(monkeypatch):
+    P = chain(2)
+    assert checks.check_roundtrip(P, (1, 2)).passed
+    rows = recovery.verify_roundtrip(P, (1, 2))
+    rows[1] = dict(rows[1], passed=False)
+    monkeypatch.setattr(checks, "verify_roundtrip", lambda P, seeds: rows)
+    r = checks.check_roundtrip(P, (1, 2))
+    assert tuple(r) == ("roundtrip", False, "%r seed 2: %r" % (P, rows[1]), False)
+
+
+def test_roundtrip_reports_a_refusal(monkeypatch):
+    def refuse(P, seeds):
+        raise NoPosetBehindTable("index 1 not placed")
+
+    P = chain(2)
+    monkeypatch.setattr(checks, "verify_roundtrip", refuse)
+    r = checks.check_roundtrip(P, (1, 2))
+    assert tuple(r) == (
+        "roundtrip",
+        False,
+        "%r raised NoPosetBehindTable: index 1 not placed" % (P,),
+        False,
+    )
