@@ -33,6 +33,7 @@ from .poset import (
     transitive_closure,
 )
 from .linalg import Subspace
+from .recovery import _labels_for
 from .rewriting import reduce_word
 
 _SUBSET_LIMIT = 15
@@ -410,10 +411,6 @@ def brute_maximal_supports(table):
     return out
 
 
-def _labels(qs):
-    return ["e%d" % q for q in qs]
-
-
 def brute_recover_by_ideal_products(table):
     """x < y iff the support product of the principal ideals is nonzero,
     refused unless that relation is transitive."""
@@ -433,7 +430,7 @@ def brute_recover_by_ideal_products(table):
                         "not transitive at %r" % ((qs[x], qs[y], qs[z]),),
                         witness=(qs[x], qs[y], qs[z]),
                     )
-    return Poset(_labels(qs), rows)
+    return Poset(_labels_for(qs), rows)
 
 
 def brute_recover_by_links(table):
@@ -448,4 +445,4 @@ def brute_recover_by_links(table):
             inter = maximals[x] & maximals[y]
             if x != y and brute_support_product(table, maximals[x], maximals[y]) != inter:
                 links[x] |= 1 << y
-    return Poset(_labels(qs), transitive_closure(n, links, _labels(qs)))
+    return Poset(_labels_for(qs), transitive_closure(n, links, _labels_for(qs)))

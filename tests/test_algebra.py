@@ -104,6 +104,11 @@ def test_unit_laws():
     assert A.multiply(one, one) == one
 
 
+def test_unknown_convention_is_refused():
+    with pytest.raises(ValueError, match="convention must be"):
+        A_of(chain(2), "strict")
+
+
 def test_empty_poset_unit_is_zero():
     A = A_of(parse_poset("elements:\n"))
     assert A.dim == 0
@@ -125,13 +130,14 @@ def test_empty_poset_unit_is_zero():
         lambda A: A.generator((True, 1)),
         lambda A: A.generator((0.0, 1.0)),
         lambda A: A.generator((0, 1, 2)),
+        lambda A: A.generator(A.dim),
     ],
     ids=["float", "bool", "str", "float_element", "float_coefficient",
-         "bool_pair", "float_pair", "triple"],
+         "bool_pair", "float_pair", "triple", "past_dim"],
 )
 def test_generator_keys_are_ints_or_pairs(call):
-    # int() would read the first five as indices 1, 1, 2, 0 and 1, and the
-    # pairs below them hash as [b,b] and [a,b]
+    # int() would read the first five as indices 1, 1, 2, 0 and 1, the
+    # pairs below them hash as [b,b] and [a,b], and A.dim is past the last
     with pytest.raises(KeyError):
         call(A_of(chain(3)))
 
@@ -142,6 +148,8 @@ def test_element_repr():
     assert repr(f) == "[a,a] + 3[a,b]"
     assert repr(A.element({0: Fraction(-1, 2)})) == "-1/2[a,a]"
     assert repr(A.zero()) == "0"
+    assert repr(-A.generator((0, 1))) == "-[a,b]"
+    assert repr(A) == "<IncidenceAlgebra a,b dim=3 reflexive>"
 
 
 def test_zero_coefficients_are_pruned():
@@ -161,7 +169,9 @@ def test_operator_arithmetic():
     assert (2 * f).coefficient(0) == 4
     assert (f * Fraction(1, 2)).coefficient(0) == 1
     assert (-f + f) == A.zero()
+    assert 0 * f == A.zero()
     assert f - g == f + (-g)
+    assert len({f - g, f + (-g)}) == 1
 
 
 def test_cross_algebra_operations_rejected():

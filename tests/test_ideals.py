@@ -134,6 +134,7 @@ def test_principal_accepts_pairs_and_labels_via_index():
     I = ideal_generated_by(A, [A.generator(i)])
     assert format_ideal(I) == "{[b,b],[a,b],[a,c],[b,c]}"
     assert I == principal_ideal(A, i)
+    assert len({I, principal_ideal(A, i)}) == 1
 
 
 def test_enumeration_counts():

@@ -133,6 +133,7 @@ def test_closure_of_bc_needs_a_left_product():
     A = A_of(chain(3))
     S = ideal_closure(A, [A.generator((1, 2))])
     assert S.dim == 2
+    assert repr(S) == "<Subspace dim=2 of 6>"
     assert S.contains(A.generator((0, 2)))
 
 

@@ -231,6 +231,7 @@ def test_boolean_lattice_size_limit():
 
 def test_random_poset_is_seed_deterministic():
     assert random_poset(6, 0.3, 17) == random_poset(6, 0.3, 17)
+    assert len({random_poset(6, 0.3, 17), random_poset(6, 0.3, 17)}) == 1
     drawn = {random_poset(6, 0.3, s).up for s in range(20)}
     assert len(drawn) > 1
 
@@ -381,6 +382,12 @@ def test_isomorphism_negatives():
 def test_isomorphism_size_limit():
     with pytest.raises(SizeLimitExceeded):
         brute_isomorphism(chain(7), chain(7))
+
+
+def test_subset_filters_are_capped():
+    for oracle in (brute_up_closed_masks, brute_antichain_count):
+        with pytest.raises(SizeLimitExceeded, match="capped at 15"):
+            oracle(16, [0] * 16)
 
 
 # ---------------------------------------------------------------------------

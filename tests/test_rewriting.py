@@ -52,6 +52,7 @@ def test_rule_set_chain2_distinct_only():
     R = build_rewrite_system(chain(2), "distinct_only")
     # no three distinct comparable elements exist, so only the zero rules
     assert rule_strings(R) == ["b a -> 0", "a b a -> 0", "b a b -> 0"]
+    assert repr(R) == "<RewriteSystem a,b distinct_only, 3 rules>"
 
 
 @pytest.mark.parametrize("conv", ["allow_repeats", "distinct_only"])
