@@ -55,8 +55,12 @@ class IncidenceAlgebra:
     irreflexive: strict pairs only; the algebra is nilpotent and has no unit.
     """
 
+    # the last three are filled on first read and freed with the algebra:
+    # ideal_product's step lists, and the check suite's principal products
+    # and up-set list
     __slots__ = ("poset", "convention", "generators", "index", "by_first",
-                 "_pair_poset", "_table")
+                 "_pair_poset", "_table", "_product_steps",
+                 "_principal_products", "_up_sets")
 
     def __init__(self, poset, convention="reflexive"):
         if convention not in ("reflexive", "irreflexive"):
@@ -76,6 +80,9 @@ class IncidenceAlgebra:
         self.by_first = by_first
         self._pair_poset = None
         self._table = None
+        self._product_steps = None
+        self._principal_products = None
+        self._up_sets = None
 
     @property
     def dim(self):

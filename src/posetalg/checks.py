@@ -13,6 +13,7 @@ from typing import NamedTuple
 from .algebra import IncidenceAlgebra
 from .errors import NoPosetBehindTable, NotAssociative, PosetAlgebraError
 from .ideals import (
+    Ideal,
     enumerate_up_sets,
     ideal_generated_by,
     ideal_product,
@@ -120,6 +121,32 @@ def random_element_lists(A, rng, n_lists):
 # per-poset checks (reflexive-convention algebra throughout)
 
 
+def _principal_products(A):
+    """products[i][j], the mask of ideal_product over the principal ideals
+    of pairs i and j, 0 when zero.  Computed on first read and kept by the
+    algebra, so the four product checks share one s x s table."""
+    products = A._principal_products
+    if products is None:
+        principals = indecomposable_ideals(A)
+        # a product of principal ideals is principal or zero, so masks
+        # repeat: the table keeps one int per distinct mask
+        shared = {}
+        products = []
+        for I in principals:
+            row = [ideal_product(I, J).up_mask for J in principals]
+            products.append([shared.setdefault(m, m) for m in row])
+        A._principal_products = products
+    return products
+
+
+def _up_sets(A, enum_cap):
+    """Every up-set of the pair poset, listed on first read and kept by the
+    algebra; the caller has checked the pair count against enum_cap."""
+    if A._up_sets is None:
+        A._up_sets = list(enumerate_up_sets(A.pair_poset(), cap=enum_cap))
+    return A._up_sets
+
+
 def check_pair_minimals(P, A):
     G = A.pair_poset()
     minimal = G.minimal_of((1 << G.size) - 1)
@@ -137,7 +164,7 @@ def check_ideal_count(P, A, enum_cap):
     if G.size > enum_cap:
         return _skip("ideal_count", "%d pairs over cap" % G.size)
     want = _antichain_count(G.wider, G.narrower)
-    got = sum(1 for _ in enumerate_up_sets(G, cap=enum_cap))
+    got = len(_up_sets(A, enum_cap))
     if got != want:
         return _fail("ideal_count", "%r enumerated %d, antichains %d" % (P, got, want))
     return _ok("ideal_count")
@@ -159,7 +186,7 @@ def _closure(name, P, A, enum_cap, op, basis):
     G = A.pair_poset()
     if G.size > enum_cap:
         return _skip(name, "%d pairs over cap" % G.size)
-    masks = list(enumerate_up_sets(G, cap=enum_cap))
+    masks = _up_sets(A, enum_cap)
     listed = set(masks)
     for m1 in masks:
         for m2 in basis:
@@ -192,6 +219,7 @@ def check_product_lemma(P, A):
     gens = A.generators
     right = A.multiplication_table().right
     principals = indecomposable_ideals(A)
+    products = _principal_products(A)
     zero = zero_ideal(A)
     # every coefficient of a product of coefficient-1 sums counts the
     # generator pairs landing there, so none cancels and its support is the
@@ -199,25 +227,29 @@ def check_product_lemma(P, A):
     for i, Pi in enumerate(principals):
         x, y = gens[i]
         reach = {}  # b -> the targets of b_a b_b over a in Pi
+        factors = 0  # the mask of the keys of reach
         for a in Pi.pair_indices():
             for b, (_, k) in right[a].items():
                 reach[b] = reach.get(b, 0) | 1 << k
+                factors |= 1 << b
         for j, Pj in enumerate(principals):
             u, v = gens[j]
-            got = ideal_product(Pi, Pj)
+            got = products[i][j]
             want = principals[A.index[x, v]] if P.leq(y, u) else zero
-            if got != want:
+            if got != want.up_mask:
                 return _fail(
                     "product_lemma",
                     "%r pairs %s,%s got %r want %r"
-                    % (P, G.pair_label(i), G.pair_label(j), got, want),
+                    % (P, G.pair_label(i), G.pair_label(j),
+                       Ideal._checked(A, got), want),
                 )
-            J = Pj.up_mask
             span = 0
-            for b, targets in reach.items():
-                if J >> b & 1:
-                    span |= targets
-            if span != got.up_mask:
+            members = Pj.up_mask & factors
+            while members:
+                low = members & -members
+                span |= reach[low.bit_length() - 1]
+                members ^= low
+            if span != got:
                 return _fail(
                     "product_lemma",
                     "%r span oracle disagrees at %s,%s"
@@ -227,11 +259,11 @@ def check_product_lemma(P, A):
 
 
 def check_product_in_intersection(P, A):
+    products = _principal_products(A)
     principals = indecomposable_ideals(A)
     for i, Pi in enumerate(principals):
         for j, Pj in enumerate(principals):
-            prod = ideal_product(Pi, Pj)
-            if prod.up_mask & ~(Pi.up_mask & Pj.up_mask):
+            if products[i][j] & ~(Pi.up_mask & Pj.up_mask):
                 return _fail(
                     "product_in_intersection", "%r pair indices %d,%d" % (P, i, j)
                 )
@@ -259,11 +291,12 @@ def check_bijections(P, A):
 def check_idempotence(P, A):
     """Among indecomposables: II != 0 iff II = I iff I is a diagonal
     principal."""
+    products = _principal_products(A)
     diag_masks = set(I.up_mask for I in maximal_indecomposable_ideals(A))
-    for I in indecomposable_ideals(A):
-        square = ideal_product(I, I)
-        nonzero = not square.is_zero
-        fixed = square == I
+    for i, I in enumerate(indecomposable_ideals(A)):
+        square = products[i][i]
+        nonzero = square != 0
+        fixed = square == I.up_mask
         topmost = I.up_mask in diag_masks
         if not (nonzero == fixed == topmost):
             return _fail(
@@ -296,14 +329,13 @@ def check_maximality(P, A, enum_cap):
 
 
 def check_diagonal_products(P, A):
-    """I_x * I_y is the principal ideal of (x, y) when x <= y, else zero."""
-    maxind = maximal_indecomposable_ideals(A)
-    zero = zero_ideal(A)
+    """I_x * I_y is the principal ideal of (x, y) when x <= y, else zero.
+    I_x is the principal ideal of the diagonal pair [x,x], pair x."""
+    products = _principal_products(A)
     for x in range(P.n):
         for y in range(P.n):
-            got = ideal_product(maxind[x], maxind[y])
-            want = principal_ideal(A, A.index[x, y]) if P.leq(x, y) else zero
-            if got != want:
+            want = principal_ideal(A, A.index[x, y]).up_mask if P.leq(x, y) else 0
+            if products[x][y] != want:
                 return _fail(
                     "diagonal_products",
                     "%r elements %s,%s" % (P, P.labels[x], P.labels[y]),

@@ -142,22 +142,46 @@ def ideal_intersect(I, J):
     return Ideal._checked(I.algebra, I.up_mask & J.up_mask)
 
 
+def _product_steps(A):
+    """Per generator [x,w]: the mask of the generators starting at w, and
+    the bit pairs (1 << j, 1 << k) of each j = [w,v] and k = [x,v], where
+    [x,w] composes with j and where the product lands.  Built once per
+    algebra, on one shared int per generator bit."""
+    steps = A._product_steps
+    if steps is None:
+        index, by_first = A.index, A.by_first
+        bit = [1 << k for k in range(A.dim)]
+        starting = [0] * A.poset.n
+        for j, (u, _) in enumerate(A.generators):
+            starting[u] |= bit[j]
+        steps = A._product_steps = [
+            (starting[w], [(bit[j], bit[index[x, v]]) for j, v in by_first[w]])
+            for x, w in A.generators
+        ]
+    return steps
+
+
 def ideal_product(I, J):
     """Relational composition: pairs [x,v] with [x,w] in I and [w,v] in J.
 
     It is up-closed: for [x',v'] wider than [x,v] (x' <= x, v <= v'),
     [x',w] is wider than [x,w] and [w,v'] than [w,v], so they lie in I and
     J and compose to [x',v']."""
-    _require_same(I, J)
+    if I.algebra is not J.algebra:
+        _require_same(I, J)
     A = I.algebra
-    gens, index, by_first = A.generators, A.index, A.by_first
+    steps = _product_steps(A)
     J_mask = J.up_mask
     mask = 0
-    for i in iterbits(I.up_mask):
-        x, w = gens[i]
-        for j, v in by_first[w]:
-            if J_mask >> j & 1:
-                mask |= 1 << index[x, v]
+    rest = I.up_mask
+    while rest:
+        low = rest & -rest
+        starting, pairs = steps[low.bit_length() - 1]
+        if J_mask & starting:
+            for member, target in pairs:
+                if J_mask & member:
+                    mask |= target
+        rest ^= low
     return Ideal._checked(A, mask)
 
 

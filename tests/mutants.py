@@ -61,6 +61,14 @@ MUTANTS = [
         "ints = True",
         [ALGEBRA + "::test_generator_keys_are_ints_or_pairs"],
     ),
+    # ideal_product: the kernel's member test
+    Mutant(
+        "ideal_product_members",
+        "ideals.py",
+        "if J_mask & member:",
+        "if True:",
+        ["tests/test_ideals.py::test_ideal_product_matches_the_pair_index_oracle"],
+    ),
     Mutant(
         "ideal_mask_int",
         "ideals.py",
@@ -297,14 +305,22 @@ MUTANTS = [
             "::test_ideal_closure_matches_the_oracle_under_both_conventions"
         ],
     ),
-    # checks: the span leg's member test and roundtrip's refusal branch;
-    # guard_mutants() turns off each `if ...: return _fail(...)` guard
+    # checks: the span leg's members, the shared product table and
+    # roundtrip's refusal branch; guard_mutants() turns off each
+    # `if ...: return _fail(...)` guard
     Mutant(
         "product_lemma_span_members",
         "checks.py",
-        "if J >> b & 1:",
-        "if True:",
+        "members = Pj.up_mask & factors",
+        "members = factors",
         [CHECKS + "::test_product_lemma_span_leg_matches_multiply"],
+    ),
+    Mutant(
+        "principal_products_shared",
+        "checks.py",
+        "if products is None:",
+        "if True:",
+        [CHECKS + "::test_suite_computes_each_product_and_up_set_once"],
     ),
     Mutant(
         "roundtrip_refusal",

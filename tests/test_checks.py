@@ -72,6 +72,36 @@ def test_ideal_count_runs_past_fifteen_pairs():
     assert not any(r.skipped for r in results)
 
 
+@pytest.mark.parametrize(
+    "P",
+    [diamond(), chain(5), corpus_random7()[5]],
+    ids=["diamond", "chain5", "random7_5"],
+)
+def test_suite_computes_each_product_and_up_set_once(monkeypatch, P):
+    # the four product checks share one table of the s^2 principal
+    # products, and the three lattice checks one list of up-sets, listed
+    # only within the cap
+    calls = {"ideal_product": 0, "enumerate_up_sets": 0}
+
+    def count(name):
+        real = getattr(checks, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(checks, name, counted)
+
+    count("ideal_product")
+    count("enumerate_up_sets")
+    assert all(r.passed for r in run_poset_checks(P))
+    s = IncidenceAlgebra(P, "reflexive").pair_poset().size
+    assert calls == {
+        "ideal_product": s * s,
+        "enumerate_up_sets": 1 if s <= 12 else 0,
+    }
+
+
 def test_maximality_catches_a_missing_maximal_ideal(monkeypatch):
     P = diamond()
     A = IncidenceAlgebra(P, "reflexive")
@@ -118,7 +148,8 @@ def test_intersection_check_catches_a_missing_meet(
     assert set(kept) <= set(listed)
     remaining = [m for m in listed if m != dropped]
     monkeypatch.setattr(checks, "enumerate_up_sets", lambda G, cap: iter(remaining))
-    r = check(P, A, 12)
+    # a fresh algebra: the first has kept the up-sets it listed
+    r = check(P, IncidenceAlgebra(P, "reflexive"), 12)
     assert not r.passed
     # the witness is two listed masks that combine to the dropped one
     m1, m2 = map(int, r.detail.rsplit(" ", 1)[1].split(","))
@@ -150,7 +181,8 @@ def test_closure_check_is_never_looser_than_the_pairwise_oracle(
         listed = list(enumerate_up_sets(G, cap=12))
         for dropped in [None] + listed:
             family[:] = [m for m in listed if m != dropped]
-            r = check(P, A, 12)
+            # one algebra per family: an algebra keeps the up-sets it listed
+            r = check(P, IncidenceAlgebra(P, "reflexive"), 12)
             # the verdict is the same in any order; this one, small masks
             # first for | and large first for &, meets a witness sooner
             if brute_closure_witness(sorted(family, reverse=op is and_), op):
@@ -379,6 +411,7 @@ def test_product_in_intersection_catches_a_product_too_large(monkeypatch):
     A = reflexive(P)
     assert checks.check_product_in_intersection(P, A).passed
     monkeypatch.setattr(checks, "ideal_product", lambda I, J: full_ideal(A))
+    A = reflexive(P)  # the first algebra has kept its products
     r = checks.check_product_in_intersection(P, A)
     assert tuple(r) == (
         "product_in_intersection", False, "%r pair indices 0,0" % (P,), False
@@ -441,6 +474,7 @@ def test_diagonal_products_catches_a_wrong_product(monkeypatch):
     A = reflexive(P)
     assert checks.check_diagonal_products(P, A).passed
     monkeypatch.setattr(checks, "ideal_product", lambda I, J: zero_ideal(A))
+    A = reflexive(P)  # the first algebra has kept its products
     r = checks.check_diagonal_products(P, A)
     assert tuple(r) == ("diagonal_products", False, "%r elements a,a" % (P,), False)
 

@@ -198,6 +198,35 @@ def test_lattice_laws_on_enumerated_ideals(P):
             assert S.contains(I) and S.contains(J)
 
 
+def pair_index_product(A, I, J):
+    """The product by its definition: [x,v] for each [x,w] in I and [w,v]
+    in J, looked up by pair index."""
+    gens, index = A.generators, A.index
+    mask = 0
+    for i in I.pair_indices():
+        x, w = gens[i]
+        for j in J.pair_indices():
+            u, v = gens[j]
+            if u == w:
+                mask |= 1 << index[x, v]
+    return mask
+
+
+def test_ideal_product_matches_the_pair_index_oracle(exhaustive4, random7):
+    # every two ideals on up to 3 elements, every two principal ideals on
+    # the rest of the corpus
+    for P in exhaustive4 + random7:
+        A = A_of(P)
+        if P.n <= 3:
+            ideals = list(enumerate_ideals(A))
+        else:
+            ideals = indecomposable_ideals(A)
+        for I in ideals:
+            for J in ideals:
+                want = pair_index_product(A, I, J)
+                assert ideal_product(I, J).up_mask == want, (P, I, J)
+
+
 # ---------------------------------------------------------------------------
 # subspaces
 

@@ -2,6 +2,8 @@
 
 import ast
 import os
+import subprocess
+import sys
 
 import mutants
 
@@ -22,12 +24,23 @@ def test_each_mutant_patches_text_that_src_holds_once():
     assert stale == []
 
 
+def collected(path):
+    """The node ids pytest collects from one test file."""
+    argv = [sys.executable, "-m", "pytest", "--collect-only", "-q",
+            "-p", "no:cacheprovider", path]
+    done = subprocess.run(argv, cwd=mutants.ROOT, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=mutants.SRC))
+    return set(done.stdout.splitlines())
+
+
 def test_each_mutant_is_named_once_and_runs_tests_that_exist():
-    # a node id names a test function of its file: pytest exits 4 or 5 on
-    # one that does not, which --check counts as a survivor
+    # a node id names a test function of its file, and a [param] id one of
+    # its collected cases: pytest exits 4 or 5 on one that does not, which
+    # --check counts as a survivor
     assert mutants.guard_mutants()
     names = [m.name for m in ALL]
     assert len(names) == len(set(names))
+    with_params = {}  # file -> its node ids that name a [param] id
     for m in ALL:
         assert m.tests and m.old != m.new, m.name
         compile(mutants.src_text(m.file).replace(m.old, m.new), m.file, "exec")
@@ -36,5 +49,9 @@ def test_each_mutant_is_named_once_and_runs_tests_that_exist():
             with open(os.path.join(mutants.ROOT, path), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read())
             defs = [n.name for n in tree.body if isinstance(n, ast.FunctionDef)]
-            func = func.split("[")[0]
+            func, param, _ = func.partition("[")
             assert not func or func.startswith("test_") and func in defs, (m.name, test)
+            if param:
+                with_params.setdefault(path, set()).add(test)
+    for path, tests in with_params.items():
+        assert tests <= collected(path), (path, tests)
