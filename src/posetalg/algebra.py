@@ -46,6 +46,8 @@ RESCALE_FACTORS = (
 _UNCHECKED = object()
 # the exponent of a coefficient text in E notation
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+# a coefficient as to_json_text writes it, with parts of at most 18 digits
+_CANONICAL = re.compile(r"(-?[1-9][0-9]{0,17})(?:/([1-9][0-9]{0,17}))?\Z")
 
 
 class IncidenceAlgebra:
@@ -535,7 +537,10 @@ class MultiplicationTable:
         Fraction cannot read, whose exponent is past 4300 or whose digits
         cannot be written back, and a zero coefficient, and NotMonomial for
         a second row with the same (i, j).
-        Each distinct coefficient text is read once."""
+        Each distinct coefficient text is read once: a canonical p or p/q
+        with nonzero parts of at most 18 digits, as to_json_text writes
+        them, by integer conversion, and every other spelling by
+        Fraction(text) under the exponent and write-back budgets."""
         try:
             data = json.loads(text)
         except (ValueError, RecursionError) as e:
@@ -576,6 +581,10 @@ def _misplaced(k, other, q):  # q acts on b_k wrongly, or other placed k first
 
 def _coefficient(text, coeff, row):
     """The nonzero Fraction that text = str(coeff) spells in a table row."""
+    canonical = _CANONICAL.match(text)
+    if canonical:  # no exponent, nonzero and short: no check below can fire
+        n, d = canonical.groups()
+        return Fraction(int(n), int(d)) if d else Fraction(int(n))
     # Fraction would expand an exponent past Python's default int digit
     # limit (4300) into an integer that large before any check
     exponent = _EXPONENT.search(text)

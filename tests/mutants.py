@@ -31,13 +31,16 @@ SRC = os.path.join(ROOT, "src")
 # file is relative to src/posetalg; tests are pytest node ids or files,
 # relative to the repository root.  A listed mutant names the tests that
 # kill it, so that its run pays for pytest's start-up and little more.
-Mutant = namedtuple("Mutant", "name file old new tests")
+# first, when given, is a narrower pytest argument list run before tests;
+# tests run only on a mutant that survives it.
+Mutant = namedtuple("Mutant", "name file old new tests first", defaults=(None,))
 
 ALGEBRA = "tests/test_algebra.py"
 ORACLES = "tests/test_table_oracles.py"
 RECOVERY = "tests/test_recovery.py"
 CHECKS = "tests/test_checks.py"
 REWRITING = "tests/test_rewriting.py"
+ROBUSTNESS = "tests/test_input_robustness.py"
 PROPAGATES = ORACLES + (
     "::test_projective_plane_scrambles_are_certified_where_propagation_reaches"
 )
@@ -60,6 +63,28 @@ MUTANTS = [
         "ints = len(key) == 2 and type(key[0]) is int and type(key[1]) is int",
         "ints = True",
         [ALGEBRA + "::test_generator_keys_are_ints_or_pairs"],
+    ),
+    # _coefficient: the canonical pattern that skips Fraction's text parser
+    Mutant(
+        "canonical_coefficient_end",
+        "algebra.py",
+        '{0,17}))?\\Z")',
+        '{0,17}))?")',
+        [ROBUSTNESS + "::test_near_canonical_coefficient_texts_keep_the_general_parse"],
+    ),
+    Mutant(
+        "canonical_coefficient_nonzero",
+        "algebra.py",
+        'r"(-?[1-9]',
+        'r"(-?[0-9]',
+        [ROBUSTNESS + "::test_near_canonical_coefficient_texts_keep_the_general_parse"],
+    ),
+    Mutant(
+        "canonical_coefficient_parts",
+        "algebra.py",
+        "Fraction(int(n), int(d))",
+        "Fraction(int(d), int(n))",
+        [ROBUSTNESS + "::test_canonical_coefficient_texts_read_as_fraction_reads_them"],
     ),
     # ideal_product: the kernel's member test
     Mutant(
@@ -394,7 +419,9 @@ def guard_mutants():
     """One mutant per `if ...: return _fail(...)` in checks.py, killed by
     tests/test_checks.py: the whole statement, its condition made False.
     Each is named by its function and its ordinal there, check_bijections#2
-    for the second guard of check_bijections."""
+    for the second guard of check_bijections.  It runs first against the
+    tests named after its check (-k bijections), and against the whole
+    file only if it survives those; _closure's are the lattice tests."""
     text = src_text("checks.py")
     out = []
     for func in ast.walk(ast.parse(text)):
@@ -418,7 +445,12 @@ def guard_mutants():
             at = old.index(test, len("if"))
             new = old[:at] + "False" + old[at + len(test):]
             name = "%s#%d" % (func.name, ordinal)
-            out.append(Mutant(name, "checks.py", old, new, [CHECKS]))
+            if func.name == "_closure":  # sum_lemma and intersection_meet
+                keyword = "closure or meet"
+            else:
+                keyword = func.name.removeprefix("check_")
+            first = [CHECKS, "-k", keyword]
+            out.append(Mutant(name, "checks.py", old, new, [CHECKS], first))
     return out
 
 
@@ -442,6 +474,10 @@ def run_mutant(m, scratch):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text.replace(m.old, m.new))
     try:
+        if m.first:
+            code = run_tests(copy, m.first)
+            if code == 1:
+                return code
         return run_tests(copy, m.tests)
     finally:
         shutil.rmtree(copy)

@@ -5,6 +5,7 @@ text repeats."""
 from collections import Counter
 from fractions import Fraction
 import json
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,16 +133,81 @@ def test_each_distinct_coefficient_text_is_read_once(monkeypatch):
     T = scramble(IncidenceAlgebra(chain(30), "reflexive").multiplication_table(), 3)
     text = T.to_json_text()
     calls = Counter()
+    coefficient = algebra._coefficient
 
-    def counting(*args):
-        calls[args] += 1
-        return Fraction(*args)
+    def counting(spelled, coeff, row):
+        calls[spelled] += 1
+        return coefficient(spelled, coeff, row)
 
-    monkeypatch.setattr(algebra, "Fraction", counting)
+    monkeypatch.setattr(algebra, "_coefficient", counting)
     assert MultiplicationTable.from_json_text(text) == T
     distinct = {c for _, _, c, _ in json.loads(text)["entries"]}
     assert len(distinct) < len(T.entries)
-    assert calls == Counter({(c,): 1 for c in distinct})
+    assert calls == Counter({c: 1 for c in distinct})
+
+
+def one_coefficient(coeff):
+    doc = json.dumps({"dim": 1, "entries": [[0, 0, coeff, 0]]})
+    return MultiplicationTable.from_json_text(doc).entries[(0, 0)][0]
+
+
+parts = st.integers(1, 10**18 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts, st.booleans(), st.none() | parts)
+def test_canonical_coefficient_texts_read_as_fraction_reads_them(n, negative, d):
+    # the texts that skip Fraction's text parser, in lowest terms or not
+    text = ("-" if negative else "") + str(n) + ("" if d is None else "/%d" % d)
+    assert algebra._CANONICAL.match(text)
+    c = one_coefficient(text)
+    assert type(c) is Fraction and c == Fraction(text)
+    if d is None or d > 1 and gcd(n, d) == 1:  # as to_json_text writes it
+        assert str(c) == text
+
+
+# texts just outside the canonical pattern keep what the general parser
+# made of them: the same value, or the same error class and message
+ZERO = "zero coefficient in [0, 0, %r, 0] (omit zero products)"
+BAD = "bad coefficient %r"
+DIGITS19 = "1" * 19
+DIGITS4301 = "1" * 4301
+
+
+@pytest.mark.parametrize(
+    "coeff, expected",
+    [
+        pytest.param("+1/2", Fraction(1, 2), id="plus-sign"),
+        pytest.param(" 1/2", Fraction(1, 2), id="leading-space"),
+        pytest.param("1/2\n", Fraction(1, 2), id="trailing-newline"),
+        pytest.param("1_0", Fraction(10), id="underscore"),
+        pytest.param("01", Fraction(1), id="leading-zero"),
+        pytest.param("6/4", Fraction(3, 2), id="not-lowest-terms"),
+        pytest.param("\u0661/2", Fraction(1, 2), id="arabic-indic-one"),
+        pytest.param("1e3", Fraction(1000), id="exponent"),
+        pytest.param(DIGITS19, Fraction(int(DIGITS19)), id="19-digit-numerator"),
+        pytest.param(
+            "1/" + DIGITS19, Fraction(1, int(DIGITS19)), id="19-digit-denominator"
+        ),
+        pytest.param("0", ZERO % "0", id="zero"),
+        pytest.param("0/5", ZERO % "0/5", id="zero-over"),
+        pytest.param("-0", ZERO % "-0", id="minus-zero"),
+        pytest.param("1/0", BAD % "1/0", id="over-zero"),
+        pytest.param("true", BAD % "true", id="true-text"),
+        pytest.param("1/2x", BAD % "1/2x", id="trailing-x"),
+        pytest.param(DIGITS4301, BAD % DIGITS4301, id="4301-digit-numerator"),
+        pytest.param(
+            "1/" + DIGITS4301, BAD % ("1/" + DIGITS4301), id="4301-digit-denominator"
+        ),
+    ],
+)
+def test_near_canonical_coefficient_texts_keep_the_general_parse(coeff, expected):
+    if isinstance(expected, Fraction):
+        assert one_coefficient(coeff) == expected
+    else:
+        with pytest.raises(ParseError) as e:
+            one_coefficient(coeff)
+        assert type(e.value) is ParseError and str(e.value) == expected
 
 
 json_values = st.recursive(

@@ -55,3 +55,17 @@ def test_each_mutant_is_named_once_and_runs_tests_that_exist():
                 with_params.setdefault(path, set()).add(test)
     for path, tests in with_params.items():
         assert tests <= collected(path), (path, tests)
+
+
+
+def test_each_guard_mutant_runs_first_on_tests_named_after_its_check():
+    # a -k expression that selects no test makes pytest exit 5, and the
+    # mutant then pays for the whole file
+    with open(os.path.join(mutants.ROOT, mutants.CHECKS), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    tests = [n.name for n in tree.body if isinstance(n, ast.FunctionDef)]
+    for m in mutants.guard_mutants():
+        path, _, keyword = m.first
+        assert path == mutants.CHECKS and m.tests == [path], m.name
+        for word in keyword.split(" or "):
+            assert any(word in t for t in tests if t.startswith("test_")), m.name
